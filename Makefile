@@ -1,6 +1,6 @@
 # Convenience aliases for the checks CI runs. `make check` is the full gate.
 
-.PHONY: build test fmt clippy lint lint-sarif attacks faults serve decode check bench
+.PHONY: build test fmt clippy lint lint-sarif attacks faults serve decode perfbench check bench
 
 build:
 	cargo build --release --workspace --locked
@@ -50,6 +50,12 @@ serve:
 decode:
 	cargo run -p tnpu-bench --release --locked --bin decode -- --quick --deny-undetected --deny-corrupted
 
+# The benchmark package (perfbench/) is its own workspace, so the
+# --workspace targets above never compile it; build and test it here so a
+# renamed core API breaks the check, not the benchmark run.
+perfbench:
+	cargo test --release --locked --manifest-path perfbench/Cargo.toml
+
 # Perf-trajectory harness: run the full experiment matrix and append one
 # timing record (per-pool and total wall seconds, thread count, cell
 # count) to BENCH_sweep.json. stdout still carries the byte-stable
@@ -59,4 +65,4 @@ bench:
 	./target/release/experiments --bench-json BENCH_sweep.json all > /tmp/tnpu_bench_out.txt
 	diff -q results_full.txt /tmp/tnpu_bench_out.txt
 
-check: build test fmt clippy lint attacks faults serve decode
+check: build test fmt clippy lint attacks faults serve decode perfbench

@@ -33,7 +33,7 @@ use tnpu_memprot::{build_engine, ProtectionConfig};
 use tnpu_models::defs::dynamic;
 use tnpu_models::registry;
 use tnpu_models::Model;
-use tnpu_npu::{multi, NpuConfig};
+use tnpu_npu::{NpuConfig, TileTrace};
 use tnpu_sim::rng::SplitMix64;
 
 /// Pool-report name for the replay family.
@@ -58,7 +58,8 @@ pub const QUICK_TRAIN_STEPS: [u64; 2] = [4, 8];
 /// frontier cache tile from a base that accumulates over the sequence
 /// (the expand-grow no-reuse rule), so decode crosses a given limit much
 /// faster than train and gets a higher axis. A limit of 1 leaves the
-/// epoch sweep no headroom (see [`SteppedSession::set_version_limit`]),
+/// epoch sweep no headroom (see
+/// [`Session::set_version_limit`](tnpu_core::session::Session::set_version_limit)),
 /// so every axis starts above it.
 pub const FULL_DECODE_LIMITS: [u64; 3] = [12, 32, 64];
 /// Reduced decode limit set for `--quick`.
@@ -154,7 +155,8 @@ fn replay_cell(workload: &str, steps: u64, scheme: Scheme) -> ReplayCell {
     // Seeded from what runs, never from scheme or worker identity: the
     // same stepped trace is replayed through every engine.
     let seed = SplitMix64::seed_from_labels(&[REPLAY_EXPERIMENT, workload, &format!("s{steps}")]);
-    let reports = multi::run_steps_seeded(&refs, &NpuConfig::small_npu(), engine, 1, seed);
+    let npu = NpuConfig::small_npu();
+    let reports = TileTrace::build_steps(&refs, &npu, 1, seed).replay(engine, &npu, 1);
     ReplayCell {
         workload: workload.to_owned(),
         steps,

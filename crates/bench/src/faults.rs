@@ -192,9 +192,7 @@ fn classify_error(e: &RunError) -> Resilience {
         // sweeps inside the runner; any version error reaching the harness
         // is a runner bug, like the rest of these — surfaced as Aborted so
         // the matrix flags it instead of masking it.
-        RunError::Version(_) | RunError::Cpu(_) | RunError::Finished | RunError::Poisoned => {
-            Resilience::Aborted
-        }
+        RunError::Version(_) | RunError::Finished | RunError::Poisoned => Resilience::Aborted,
     }
 }
 

@@ -41,7 +41,7 @@ use tnpu_sim::{Addr, BLOCK_SIZE};
 /// and the paper's detection claims must hold on all of them:
 ///
 /// * [`Surface::Preempted`] — the victim is suspended at a layer boundary
-///   ([`SecureRunner::suspend`]) when the attack lands and resumed
+///   ([`Session::suspend`](crate::session::Session::suspend)) when the attack lands and resumed
 ///   afterwards. Suspension must not open a window: the version table
 ///   travels with the context, so the next verified read after resume
 ///   still sees the tamper.

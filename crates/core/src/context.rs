@@ -238,10 +238,11 @@ impl SecureNpuSession {
     }
 
     /// Whether the NPU's IOMMU currently caches a translation for `vpn`
-    /// (observability for shoot-down tests and the serving layer).
+    /// (observability for shoot-down tests and the serving layer). An
+    /// `npu` outside the pool caches nothing.
     #[must_use]
     pub fn iommu_cached(&self, npu: usize, vpn: Vpn) -> bool {
-        self.iommus[npu].cached(vpn)
+        self.iommus.get(npu).is_some_and(|iommu| iommu.cached(vpn))
     }
 
     /// Shoot down the NPU's IOMMU TLB (the OS/driver can always do this).
@@ -583,5 +584,16 @@ mod tests {
         let npu = a.npu;
         s.destroy_context(&a).expect("teardown");
         assert!(!s.iommu_cached(npu, vpn), "shoot-down cleared the TLB");
+    }
+
+    #[test]
+    fn iommu_cached_outside_the_pool_is_false() {
+        let mut s = session();
+        let mut a = s.create_context(b"a", 1).expect("a");
+        let vpn = Vpn(NELRANGE_BASE / PAGE_SIZE);
+        s.iommu_translate(&mut a, vpn, Access::Read).expect("warm");
+        assert!(s.iommu_cached(a.npu, vpn));
+        assert!(!s.iommu_cached(2, vpn), "the pool has NPUs 0 and 1");
+        assert!(!s.iommu_cached(usize::MAX, vpn));
     }
 }

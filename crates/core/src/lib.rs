@@ -16,12 +16,15 @@
 //! * [`instr`] — the compiler pass of Fig. 13 (a): lowering a tiled plan
 //!   into the version-annotated secure instruction stream, plus a replay
 //!   checker for its consistency.
-//! * [`secure_runner`] — functional secure inference: real bytes through
-//!   real crypto with version management end-to-end.
+//! * [`session`] — the functional session core: one secure context over
+//!   real bytes and real crypto (version table, verified reads, recovery,
+//!   epoch sweeps, suspend/resume), driven by a per-workload program.
+//! * [`secure_runner`] — static inference as a session program: every
+//!   layer's output expanded into tile versions, bumped, and merged.
 //! * [`recovery`] — bounded re-fetch retry and re-encryption epoch
 //!   sweeps for *environmental* faults, with every recovery cycle
 //!   charged through the scheme's cost engine.
-//! * [`stepped`] — dynamic-dataflow sessions: autoregressive decode
+//! * [`stepped`] — dynamic-dataflow session programs: autoregressive decode
 //!   whose KV caches grow their tile-version state every append, and
 //!   training loops whose weight rewrites churn through version limits.
 //! * [`attacks`] — the adversarial attack-injection harness: seeded
@@ -49,6 +52,7 @@ pub mod runspec;
 pub mod secure_runner;
 pub mod sensor;
 pub mod serving;
+pub mod session;
 pub mod stepped;
 pub mod system;
 pub mod version;

@@ -1,4 +1,4 @@
-//! Fault recovery for the secure runner: bounded retry and epoch-sweep
+//! Fault recovery for the functional sessions: bounded retry and epoch-sweep
 //! cost accounting.
 //!
 //! The adversary model (persistent, targeted tampering) is not the only
@@ -6,7 +6,7 @@
 //! on the bus that is gone on the next fetch, a stalled DMA transfer, a
 //! glitch in the crypto engine — produce the *same* `MacMismatch` but are
 //! recoverable by simply fetching and verifying again. This module gives
-//! [`SecureRunner`](crate::secure_runner::SecureRunner) that second
+//! every [`Session`](crate::session::Session) that second
 //! chance, with two invariants the tests pin down:
 //!
 //! * **Retries are never free.** Every re-fetch is charged through the
@@ -94,8 +94,8 @@ impl RecoveryStats {
     }
 }
 
-/// Retry/sweep state attached to a [`SecureRunner`] by
-/// [`enable_recovery`](crate::secure_runner::SecureRunner::enable_recovery).
+/// Retry/sweep state attached to a session by
+/// [`enable_recovery`](crate::session::Session::enable_recovery).
 ///
 /// Owns the cycle-cost [`ProtectionEngine`] matching the runner's
 /// functional scheme, so recovery traffic is priced by the same model the
@@ -249,7 +249,7 @@ mod tests {
         // written/unwritten split, storage accounting, and plaintext all
         // intact — while pre-sweep snapshots turn stale. The old sweep
         // skipped expanded tensors entirely, silently dropping the cache.
-        use crate::secure_runner::{epoch_sweep_tensors, TILE_BYTES};
+        use crate::session::{epoch_sweep_tensors, TILE_BYTES};
         use crate::version::{VersionTable, ENTRY_BYTES};
         use tnpu_crypto::Key128;
         use tnpu_memprot::functional::TreelessMemory;

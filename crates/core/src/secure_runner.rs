@@ -1,112 +1,28 @@
-//! Functional secure execution of a model (real bytes, real crypto).
+//! Static inference: the [`Session`] program that runs a model's layers
+//! in order, one layer per step (real bytes, real crypto).
 //!
 //! Drives a whole inference through the tree-less protection exactly as
-//! the paper's software would: the CPU enclave initializes tensors through
-//! the `ts_*` path, every `mvin` verifies blocks against the expected
-//! version, every layer expands its output tensor into tile versions,
-//! bumps them per `mvout`, and merges them when the layer completes
-//! (Figs. 9/13). Tests tamper with the untrusted DRAM between layers and
-//! watch the next layer's `mvin` fail.
-//!
-//! Layer arithmetic is a deterministic byte-mixing function (a digest of
-//! the verified inputs seeds the output bytes) — enough to carry data-flow
-//! dependencies end-to-end without simulating FP math. Use small models
-//! for functional runs: every byte really is encrypted and MAC'd.
+//! the paper's software would: the CPU enclave initializes the input and
+//! every weight tensor through the `ts_*` path, every `mvin` verifies
+//! blocks against the expected version, every layer expands its output
+//! tensor into tile versions, bumps them per `mvout`, and merges them when
+//! the layer completes (Figs. 9/13). Tests tamper with the untrusted DRAM
+//! between layers and watch the next layer's `mvin` fail.
 
-use crate::cpu_access::{CpuTensorAccess, TsError};
-use crate::recovery::{Recovery, RecoveryStats, RetryPolicy};
-use crate::version::{VersionError, VersionSnapshot, VersionTable};
+pub use crate::session::{sweep_clearable, RunError, TILE_BYTES};
+
+use crate::session::{
+    owned_weights, read_with_retry, registered_tensors, Program, Session, SessionCore,
+};
 use tnpu_crypto::sha256::Sha256;
-use tnpu_crypto::Key128;
-use tnpu_memprot::functional::{FunctionalMemory, IntegrityError, MismatchCause, TreelessMemory};
-use tnpu_memprot::ProtectionEngine;
+use tnpu_memprot::functional::{FunctionalMemory, TreelessMemory};
 use tnpu_models::{LayerKind, Model, ELEM_BYTES};
 use tnpu_npu::alloc::{ModelLayout, TensorInfo};
 use tnpu_sim::rng::SplitMix64;
-use tnpu_sim::{Addr, BLOCK_SIZE};
 
-/// Tile granularity (bytes) for output production (per-tile version bump).
-pub const TILE_BYTES: u64 = 16 << 10;
-
-/// Why a secure run failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunError {
-    /// A block failed MAC verification on `mvin`.
-    Integrity(IntegrityError),
-    /// Version management was misused (indicates a runner bug).
-    Version(VersionError),
-    /// The run already completed.
-    Finished,
-    /// A CPU `ts_*` access failed for a non-integrity reason.
-    Cpu(TsError),
-    /// An earlier call on this context failed with an integrity, version,
-    /// or CPU error, quarantining it: the in-flight inference may have
-    /// consumed corrupted state, so every further call is refused until
-    /// [`SecureRunner::recover`] re-establishes a consistent epoch.
-    Poisoned,
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Integrity(e) => write!(f, "integrity violation: {e}"),
-            RunError::Version(e) => write!(f, "version management error: {e}"),
-            RunError::Finished => write!(f, "inference already finished"),
-            RunError::Cpu(e) => write!(f, "cpu tensor access failed: {e}"),
-            RunError::Poisoned => {
-                write!(
-                    f,
-                    "context is quarantined by an earlier failure (recover first)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl From<IntegrityError> for RunError {
-    fn from(e: IntegrityError) -> Self {
-        RunError::Integrity(e)
-    }
-}
-
-impl From<VersionError> for RunError {
-    fn from(e: VersionError) -> Self {
-        RunError::Version(e)
-    }
-}
-
-/// The architectural state a preempted context saves through the
-/// fully-protected region: the epoch-tagged version-table snapshot, the
-/// layer cursor, and the inference's input seed. Produced by
-/// [`SecureRunner::suspend`], consumed by [`SecureRunner::resume`].
-///
-/// The tensor data itself stays in protected DRAM — versioned MACs make it
-/// self-authenticating, so a context switch moves only this (KB-scale)
-/// state, which is exactly what the serving layer charges as
-/// protected-region DMA.
-#[derive(Debug, Clone)]
-pub struct RunnerSnapshot {
-    table: VersionSnapshot,
-    next_layer: usize,
-    seed: u64,
-}
-
-impl RunnerSnapshot {
-    /// The re-encryption epoch the snapshot was taken in.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
-    /// Version-table bytes the snapshot carries (the DMA payload of the
-    /// save/restore).
-    #[must_use]
-    pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
-    }
-}
+/// The functional secure runner for one NPU context: a [`Session`]
+/// running a [`Static`] inference.
+pub type SecureRunner<M = TreelessMemory> = Session<M, Static>;
 
 /// Per-layer execution record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,232 +37,96 @@ pub struct LayerTrace {
     pub tiles: u32,
 }
 
-/// The functional secure runner for one NPU context.
-///
-/// Generic over the [`FunctionalMemory`] the context computes on: the
-/// default is the paper's tree-less scheme, and the adversary harness
-/// instantiates it over every scheme to compare what each one detects.
-#[derive(Debug)]
-pub struct SecureRunner<M: FunctionalMemory = TreelessMemory> {
-    model: Model,
-    layout: ModelLayout,
-    table: VersionTable,
-    mem: M,
-    cpu: CpuTensorAccess,
+/// The static-inference program: a layer cursor.
+#[derive(Debug, Clone)]
+pub struct Static {
     next_layer: usize,
-    seed: u64,
-    /// Retry/sweep machinery; `None` (the default) reproduces the
-    /// pre-recovery behavior exactly — fail on the first bad read.
-    recovery: Option<Recovery>,
-    /// Re-encryption epoch (bumped by each sweep; 0 = initial keys).
-    epoch: u64,
-    /// Set when a call fails with anything but [`RunError::Finished`].
-    poisoned: bool,
 }
 
-impl SecureRunner<TreelessMemory> {
-    /// Set up a tree-less context with keys derived from `master_key`.
-    #[must_use]
-    pub fn new(model: &Model, master_key: Key128, seed: u64) -> Self {
-        Self::with_memory(model, TreelessMemory::new(master_key), seed)
+impl Program for Static {
+    type Trace = LayerTrace;
+
+    /// The input and every owned weight tensor are written up front.
+    fn start(
+        model: &Model,
+        layout: &ModelLayout,
+        init: &mut dyn FnMut(TensorInfo) -> Vec<u8>,
+    ) -> Self {
+        init(layout.input);
+        for (_, w) in owned_weights(model, layout) {
+            init(w);
+        }
+        Static { next_layer: 0 }
     }
-}
 
-impl<M: FunctionalMemory> SecureRunner<M> {
-    /// Set up the context over an existing memory: allocate tensors,
-    /// register them in the version table, and initialize the input and
-    /// every weight tensor through the CPU `ts_write` path with
-    /// deterministic synthetic contents.
-    #[must_use]
-    pub fn with_memory(model: &Model, mut mem: M, seed: u64) -> Self {
-        let layout = ModelLayout::allocate(model, Addr(0));
-        let mut table = VersionTable::new();
-        let mut cpu = CpuTensorAccess::new();
+    /// Every registered tensor: the input, each owned weight tensor, and
+    /// every layer output.
+    fn sweep_set(&self, model: &Model, layout: &ModelLayout) -> Vec<TensorInfo> {
+        registered_tensors(model, layout)
+    }
 
-        table.register(layout.input.id);
-        // tnpu-lint: allow(panic-path) — bump directly follows register.
-        let input_version = table.bump(layout.input.id).expect("registered");
-        let input_bytes = synth_bytes(seed, layout.input.id, layout.input.bytes);
-        cpu.write_tensor(&mut mem, layout.input.addr, input_version, &input_bytes);
+    fn step<M: FunctionalMemory>(
+        &mut self,
+        core: &mut SessionCore<M>,
+    ) -> Result<LayerTrace, RunError> {
+        let li = self.next_layer;
+        let layer = core.model.layers.get(li).ok_or(RunError::Finished)?.clone();
+        // tnpu-lint: allow(panic-path) — `li` came from layers.get above,
+        // and the layout holds one output slot per layer.
+        let out = core.layout.outputs[li];
 
-        // ModelLayout::allocate builds one weights/outputs slot per model
-        // layer, so `li` always indexes both in the loop below.
-        for li in 0..model.layers.len() {
-            // tnpu-lint: allow(panic-path) — layout slots are per-layer.
-            if let Some(w) = layout.weights[li] {
-                // A shared slot reuses the owner's already-initialized
-                // entry, but the layer still owns its *output* tensor —
-                // the guard must not skip the registration below (it once
-                // did, via a `continue`, which no static-suite model
-                // noticed because none of them tie weights; the dynamic
-                // decode/train models do and hit `UnknownTensor`).
-                // tnpu-lint: allow(panic-path) — layout slots are per-layer.
-                if model.layers[li].weights_shared_with.is_none() {
-                    table.register(w.id);
-                    // tnpu-lint: allow(panic-path) — bump directly follows register.
-                    let v = table.bump(w.id).expect("registered");
-                    let bytes = synth_bytes(seed, w.id, w.bytes);
-                    cpu.write_tensor(&mut mem, w.addr, v, &bytes);
+        // Pre-flight with recovery enabled: if this layer's output tiles
+        // would exhaust their versions mid-layer, sweep *now*. A sweep in
+        // the middle of the tile loop would be unsound — half the tensor
+        // written under each epoch.
+        if core.recovery.is_some()
+            && !core.table.is_expanded(out.id)?
+            && core.table.version(out.id, 0)? >= core.table.limit()
+        {
+            core.epoch_sweep()?;
+        }
+        let mut digest = Sha256::new();
+        digest.update(layer.name.as_bytes());
+        let mut blocks_read = 0;
+
+        // mvin phase: verify every input under its expected version.
+        match layer.kind {
+            LayerKind::Embedding { vocab, dim, seq } => {
+                // tnpu-lint: allow(panic-path) — layout allocation gives
+                // every embedding layer a weight slot; `li` is in range.
+                let table = core.layout.weights[li].expect("embedding table");
+                blocks_read += core.ingest_gathers(&mut digest, table, vocab, dim, seq)?;
+            }
+            _ => {
+                for src in &layer.inputs {
+                    blocks_read += core.ingest_tensor(&mut digest, core.layout.source(*src))?;
+                }
+                // tnpu-lint: allow(panic-path) — `li` came from layers.get.
+                if let Some(w) = core.layout.weights[li] {
+                    blocks_read += core.ingest_tensor(&mut digest, w)?;
                 }
             }
-            // tnpu-lint: allow(panic-path) — layout slots are per-layer.
-            table.register(layout.outputs[li].id);
         }
-        SecureRunner {
-            model: model.clone(),
-            layout,
-            table,
-            mem,
-            cpu,
-            next_layer: 0,
-            seed,
-            recovery: None,
-            epoch: 0,
-            poisoned: false,
-        }
+
+        // Compute + mvout phase: produce the output tile by tile.
+        let (tiles, blocks_written) = core.produce(out, &digest.finalize())?;
+        self.next_layer += 1;
+        Ok(LayerTrace {
+            name: layer.name,
+            blocks_read,
+            blocks_written,
+            tiles,
+        })
     }
 
-    /// Attach fault recovery: verified reads that fail with a *transient*
-    /// signature (stalled transfer, content-cause MAC mismatch, tree
-    /// mismatch) are re-fetched up to the policy's budget, each attempt
-    /// charged real cycles through `engine`, and version exhaustion is
-    /// consumed by a re-encryption epoch sweep instead of aborting.
-    /// `engine` should be the cycle-cost engine matching this runner's
-    /// functional scheme so recovery traffic is priced consistently.
-    pub fn enable_recovery(&mut self, policy: RetryPolicy, engine: Box<dyn ProtectionEngine>) {
-        self.recovery = Some(Recovery::new(policy, engine));
+    /// The quarantined inference is abandoned, not resumed; the next one
+    /// starts with [`Session::next_inference`].
+    fn recovered(&mut self, model: &Model) {
+        self.next_layer = model.layers.len();
     }
+}
 
-    /// What recovery has cost so far (`None` until
-    /// [`enable_recovery`](Self::enable_recovery)).
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.recovery.as_ref().map(Recovery::stats)
-    }
-
-    /// Lower the version-exhaustion threshold (tests and the fault
-    /// harness use this to reach the epoch sweep without 2^64 bumps).
-    /// Note a limit of 1 leaves the sweep no headroom — the sweep itself
-    /// rewrites every live tensor at version 1, so the next bump is
-    /// exhausted again and the run aborts; meaningful recovery needs a
-    /// limit of at least 2.
-    pub fn set_version_limit(&mut self, limit: u64) {
-        self.table.set_limit(limit);
-    }
-
-    /// Current re-encryption epoch (0 until the first sweep).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether an earlier failure has quarantined this context.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    fn guard(&self) -> Result<(), RunError> {
-        if self.poisoned {
-            Err(RunError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Record the outcome of a fallible call: any error except
-    /// [`RunError::Finished`] quarantines the context.
-    fn note<T>(&mut self, r: Result<T, RunError>) -> Result<T, RunError> {
-        if let Err(e) = &r {
-            if !matches!(e, RunError::Finished) {
-                self.poisoned = true;
-            }
-        }
-        r
-    }
-
-    /// Start the next inference in the same context: rewrite the input
-    /// tensor with fresh synthetic contents under a bumped version and
-    /// rewind the layer cursor. Weights stay as initialized; output
-    /// tensors keep their version history and are bumped again as the new
-    /// pass produces them — the steady-state reuse pattern whose replay
-    /// window the version numbers close.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Version`] if the input version counter is exhausted
-    /// (with recovery enabled, exhaustion is consumed by an epoch sweep
-    /// instead); [`RunError::Poisoned`] if the context is quarantined.
-    pub fn next_inference(&mut self, input_seed: u64) -> Result<(), RunError> {
-        self.guard()?;
-        let r = self.next_inference_inner(input_seed);
-        self.note(r)
-    }
-
-    fn next_inference_inner(&mut self, input_seed: u64) -> Result<(), RunError> {
-        self.seed = input_seed;
-        self.next_layer = 0;
-        let version = match self.table.bump(self.layout.input.id) {
-            Ok(v) => v,
-            Err(VersionError::Exhausted(_)) if self.recovery.is_some() => {
-                self.epoch_sweep()?;
-                self.table.bump(self.layout.input.id)?
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let bytes = synth_bytes(input_seed, self.layout.input.id, self.layout.input.bytes);
-        self.cpu
-            .write_tensor(&mut self.mem, self.layout.input.addr, version, &bytes);
-        Ok(())
-    }
-
-    /// The version table (inspection).
-    #[must_use]
-    pub fn version_table(&self) -> &VersionTable {
-        &self.table
-    }
-
-    /// The address map.
-    #[must_use]
-    pub fn layout(&self) -> &ModelLayout {
-        &self.layout
-    }
-
-    /// The untrusted protected memory, read-only (the adversary's
-    /// observe hook).
-    #[must_use]
-    pub fn memory(&self) -> &M {
-        &self.mem
-    }
-
-    /// The untrusted protected memory — the attack hook for tests.
-    pub fn memory_mut(&mut self) -> &mut M {
-        &mut self.mem
-    }
-
-    /// Whether every layer has executed.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.next_layer >= self.model.layers.len()
-    }
-
-    /// Verify + read one whole tensor (every block, under its current
-    /// version), feeding the digest.
-    fn ingest_tensor(&mut self, digest: &mut Sha256, info: TensorInfo) -> Result<u64, RunError> {
-        let version = self.table.version(info.id, 0)?;
-        let blocks = info.bytes.div_ceil(BLOCK_SIZE as u64);
-        for b in 0..blocks {
-            let data = read_with_retry(
-                &self.mem,
-                self.recovery.as_mut(),
-                info.addr.offset(b * BLOCK_SIZE as u64),
-                version,
-            )?;
-            digest.update(&data);
-        }
-        Ok(blocks)
-    }
-
+impl<M: FunctionalMemory> SessionCore<M> {
     /// Gather `seq` rows from an embedding table (only the touched blocks
     /// are verified — the fine-grained access of §III-B).
     fn ingest_gathers(
@@ -372,93 +152,33 @@ impl<M: FunctionalMemory> SecureRunner<M> {
         }
         Ok(blocks)
     }
+}
 
-    /// Execute the next layer; returns its trace.
+impl<M: FunctionalMemory> Session<M, Static> {
+    /// Start the next inference in the same context: rewrite the input
+    /// tensor with fresh synthetic contents under a bumped version and
+    /// rewind the layer cursor. Weights stay as initialized; output
+    /// tensors keep their version history and are bumped again as the new
+    /// pass produces them — the steady-state reuse pattern whose replay
+    /// window the version numbers close.
     ///
     /// # Errors
     ///
-    /// [`RunError::Integrity`] when a verified read fails (tampering /
-    /// replay detected); [`RunError::Finished`] when no layers remain;
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn step(&mut self) -> Result<LayerTrace, RunError> {
-        self.guard()?;
-        let r = self.step_inner();
-        self.note(r)
+    /// [`RunError::Version`] if the input version counter is exhausted
+    /// (with recovery enabled, exhaustion is consumed by an epoch sweep
+    /// instead); [`RunError::Poisoned`] if the context is quarantined.
+    pub fn next_inference(&mut self, input_seed: u64) -> Result<(), RunError> {
+        self.guarded(|program, core| {
+            core.seed = input_seed;
+            program.next_layer = 0;
+            core.write_input(input_seed, &mut false)
+        })
     }
 
-    fn step_inner(&mut self) -> Result<LayerTrace, RunError> {
-        let li = self.next_layer;
-        let layer = self.model.layers.get(li).ok_or(RunError::Finished)?.clone();
-
-        // Pre-flight with recovery enabled: if this layer's output tiles
-        // would exhaust their versions mid-layer, sweep *now*. A sweep in
-        // the middle of the tile loop would be unsound — half the tensor
-        // written under each epoch.
-        if self.recovery.is_some() {
-            // tnpu-lint: allow(panic-path) — `li` came from layers.get above.
-            let out = self.layout.outputs[li];
-            if !self.table.is_expanded(out.id)?
-                && self.table.version(out.id, 0)? >= self.table.limit()
-            {
-                self.epoch_sweep()?;
-            }
-        }
-        let mut digest = Sha256::new();
-        digest.update(layer.name.as_bytes());
-        let mut blocks_read = 0;
-
-        // mvin phase: verify every input under its expected version.
-        match layer.kind {
-            LayerKind::Embedding { vocab, dim, seq } => {
-                // tnpu-lint: allow(panic-path) — layout allocation gives
-                // every embedding layer a weight slot; `li` is in range.
-                let table = self.layout.weights[li].expect("embedding table");
-                blocks_read += self.ingest_gathers(&mut digest, table, vocab, dim, seq)?;
-            }
-            _ => {
-                for src in &layer.inputs {
-                    blocks_read += self.ingest_tensor(&mut digest, self.layout.source(*src))?;
-                }
-                // tnpu-lint: allow(panic-path) — `li` came from layers.get.
-                if let Some(w) = self.layout.weights[li] {
-                    blocks_read += self.ingest_tensor(&mut digest, w)?;
-                }
-            }
-        }
-
-        // Compute + mvout phase: produce the output tile by tile, with
-        // per-tile version bumps, then merge.
-        // tnpu-lint: allow(panic-path) — `li` came from layers.get above.
-        let out = self.layout.outputs[li];
-        let state = digest.finalize();
-        let tiles = out.bytes.div_ceil(TILE_BYTES).max(1) as u32;
-        self.table.expand(out.id, tiles)?;
-        let mut blocks_written = 0;
-        for tile in 0..tiles {
-            let version = self.table.bump_tile(out.id, tile)?;
-            let tile_base = u64::from(tile) * TILE_BYTES;
-            let tile_len = TILE_BYTES.min(out.bytes - tile_base);
-            let mut rng = seeded_from(&state, tile);
-            let mut off = 0;
-            while off < tile_len {
-                let mut block = [0u8; BLOCK_SIZE];
-                for chunk in block.chunks_exact_mut(8) {
-                    chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-                }
-                self.mem
-                    .write_block(out.addr.offset(tile_base + off), version, block);
-                blocks_written += 1;
-                off += BLOCK_SIZE as u64;
-            }
-        }
-        self.table.merge(out.id)?;
-        self.next_layer += 1;
-        Ok(LayerTrace {
-            name: layer.name.clone(),
-            blocks_read,
-            blocks_written,
-            tiles,
-        })
+    /// Whether every layer has executed.
+    #[must_use]
+    pub fn is_finished(&self) -> bool {
+        self.program.next_layer >= self.core.model.layers.len()
     }
 
     /// Run all remaining layers.
@@ -473,366 +193,13 @@ impl<M: FunctionalMemory> SecureRunner<M> {
         }
         Ok(traces)
     }
-
-    /// Read the final output back on the CPU side (post-processing,
-    /// Fig. 3), verifying it.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] if the output fails verification;
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn read_output(&mut self) -> Result<Vec<u8>, RunError> {
-        self.guard()?;
-        let r = self.read_output_inner();
-        self.note(r)
-    }
-
-    fn read_output_inner(&mut self) -> Result<Vec<u8>, RunError> {
-        // tnpu-lint: allow(panic-path) — Model construction rejects empty
-        // layer lists, so `outputs` is never empty.
-        let last = *self.layout.outputs.last().expect("models have layers");
-        let version = self.table.version(last.id, 0)?;
-        if self.recovery.is_some() {
-            // Recovery-aware read-back: same bytes as the `ts_*` path
-            // (sequential blocks truncated to the tensor length), but each
-            // block fetch gets the retry budget.
-            let blocks = last.bytes.div_ceil(BLOCK_SIZE as u64);
-            let mut out = Vec::with_capacity(last.bytes as usize);
-            for b in 0..blocks {
-                let addr = last.addr.offset(b * BLOCK_SIZE as u64);
-                let data = read_with_retry(&self.mem, self.recovery.as_mut(), addr, version)?;
-                out.extend_from_slice(&data);
-            }
-            out.truncate(last.bytes as usize);
-            return Ok(out);
-        }
-        self.cpu
-            .read_tensor(&self.mem, last.addr, version, last.bytes as usize)
-            .map_err(|e| match e {
-                TsError::Integrity(err) => RunError::Integrity(err),
-                other => RunError::Cpu(other),
-            })
-    }
-
-    /// Every tensor the epoch sweep must preserve: the input, each
-    /// non-shared weight tensor, and every layer output.
-    fn live_tensors(&self) -> Vec<TensorInfo> {
-        let mut out = vec![self.layout.input];
-        for (li, w) in self.layout.weights.iter().enumerate() {
-            if let Some(w) = w {
-                // tnpu-lint: allow(panic-path) — one weight slot per layer.
-                if self.model.layers[li].weights_shared_with.is_none() {
-                    out.push(*w);
-                }
-            }
-        }
-        out.extend(self.layout.outputs.iter().copied());
-        out
-    }
-
-    /// Re-encryption epoch sweep, consumed on version exhaustion
-    /// (`VersionError::Exhausted`): verify and capture every live tensor,
-    /// rotate the memory's keys to a fresh epoch, reset every version to
-    /// 0, and rewrite the captured contents under version 1 of the new
-    /// epoch. Reusing the low version numbers is sound *only* because the
-    /// re-key kills every MAC bound under the old epoch. Never-written
-    /// tensors (version 0) are skipped. Mid-production (tile-expanded)
-    /// tensors — a KV cache mid-sequence stays expanded for the whole
-    /// decode — are preserved tile by tile: each written tile is captured
-    /// under its own version, and after the re-key the entry is
-    /// re-expanded to the same tile count with written tiles rewritten at
-    /// version 1 and never-written tiles left at 0, so the producer sees
-    /// the same expansion shape in the new epoch. With recovery enabled,
-    /// the full DMA + crypto cost of the sweep is charged to
-    /// `sweep_cycles`.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] if a live block fails verification even
-    /// after retries (persistent tampering). The failure is reported from
-    /// the capture phase, *before* any key or version mutates.
-    fn epoch_sweep(&mut self) -> Result<(), RunError> {
-        let live = self.live_tensors();
-        epoch_sweep_tensors(
-            &live,
-            &mut self.table,
-            &mut self.mem,
-            self.recovery.as_mut(),
-            &mut self.epoch,
-        )
-    }
-
-    /// Attempt to lift the quarantine after a failure: run an epoch sweep
-    /// to re-establish a consistent state (fresh keys, versions reset,
-    /// all intact tensors re-encrypted; the abandoned inference's partial
-    /// outputs are dropped). On success the context is clean and a new
-    /// inference may start. If the memory still holds state that fails
-    /// verification even after retries — a persistent fault or a real
-    /// attack — the sweep reports it and the context *stays* poisoned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sweep's [`RunError::Integrity`] on persistent
-    /// tampering.
-    pub fn recover(&mut self) -> Result<(), RunError> {
-        self.epoch_sweep()?;
-        self.poisoned = false;
-        // The quarantined inference is abandoned, not resumed.
-        self.next_layer = self.model.layers.len();
-        Ok(())
-    }
-
-    /// Suspend the context at a layer boundary for a context switch:
-    /// capture the epoch-tagged version-table snapshot plus the layer
-    /// cursor and input seed. The tensor data stays in protected DRAM
-    /// (self-authenticating under the versioned MACs); only this snapshot
-    /// leaves the NPU.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Poisoned`] if the context is quarantined — a poisoned
-    /// context must not smuggle its state past the quarantine via a
-    /// suspend/resume cycle.
-    pub fn suspend(&self) -> Result<RunnerSnapshot, RunError> {
-        self.guard()?;
-        Ok(RunnerSnapshot {
-            table: self.table.snapshot(self.epoch),
-            next_layer: self.next_layer,
-            seed: self.seed,
-        })
-    }
-
-    /// Resume from a [`suspend`](Self::suspend) snapshot, re-validating
-    /// its epoch tag against the context's current epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Version`] with [`VersionError::StaleSnapshot`] if an
-    /// epoch sweep ran while the context was suspended — restoring
-    /// pre-sweep versions under post-sweep keys is the replay hazard the
-    /// epoch tag closes. The attempt quarantines the context (an attempted
-    /// rollback, whether bug or attack, leaves its scheduling state
-    /// untrustworthy). [`RunError::Poisoned`] if already quarantined.
-    pub fn resume(&mut self, snapshot: &RunnerSnapshot) -> Result<(), RunError> {
-        self.guard()?;
-        let r = self.resume_inner(snapshot);
-        self.note(r)
-    }
-
-    fn resume_inner(&mut self, snapshot: &RunnerSnapshot) -> Result<(), RunError> {
-        self.table.restore(&snapshot.table, self.epoch)?;
-        self.next_layer = snapshot.next_layer;
-        self.seed = snapshot.seed;
-        Ok(())
-    }
-}
-
-/// The shared body of the re-encryption epoch sweep, over an explicit
-/// tensor set — used by [`SecureRunner`] for whole-model sweeps and by the
-/// stepped dynamic-dataflow sessions (`crate::stepped`), whose KV caches
-/// stay tile-expanded across the whole decode.
-///
-/// Capture-verify every live tensor under the current epoch, rotate the
-/// memory keys, reset every version, and rewrite the captured contents at
-/// version 1 of the new epoch. Single-entry tensors at version 0 are
-/// skipped (never written). Tile-expanded tensors keep their expansion
-/// shape: written tiles (version > 0) are captured under their own
-/// versions and rewritten at 1; never-written tiles stay at 0; the tile
-/// count survives, so a mid-sequence producer sees the identical shape in
-/// the new epoch. Tile geometry is [`TILE_BYTES`], matching both the
-/// layer producer and the stepped KV-append path.
-pub(crate) fn epoch_sweep_tensors<M: FunctionalMemory>(
-    tensors: &[TensorInfo],
-    table: &mut VersionTable,
-    mem: &mut M,
-    mut recovery: Option<&mut Recovery>,
-    epoch: &mut u64,
-) -> Result<(), RunError> {
-    let mut saved: Vec<(TensorInfo, Vec<[u8; BLOCK_SIZE]>)> = Vec::new();
-    // (tensor, expansion tile count, written tiles with their blocks)
-    type SavedTile = (u32, Vec<[u8; BLOCK_SIZE]>);
-    let mut saved_expanded: Vec<(TensorInfo, u32, Vec<SavedTile>)> = Vec::new();
-    for &t in tensors {
-        if table.is_expanded(t.id)? {
-            let count = table.tile_count(t.id)?;
-            let mut tiles: Vec<SavedTile> = Vec::new();
-            for tile in 0..count {
-                let tile_base = u64::from(tile) * TILE_BYTES;
-                if tile_base >= t.bytes {
-                    break; // expansion past the allocation holds no data
-                }
-                let version = table.version(t.id, tile)?;
-                if version == 0 {
-                    continue; // never-written tile: nothing to capture
-                }
-                let tile_len = TILE_BYTES.min(t.bytes - tile_base);
-                let blocks = tile_len.div_ceil(BLOCK_SIZE as u64);
-                let mut data = Vec::with_capacity(blocks as usize);
-                for b in 0..blocks {
-                    let addr = t.addr.offset(tile_base + b * BLOCK_SIZE as u64);
-                    let block = read_with_retry(mem, recovery.as_deref_mut(), addr, version)?;
-                    if let Some(rec) = recovery.as_deref_mut() {
-                        rec.charge_sweep_read(addr, version);
-                    }
-                    data.push(block);
-                }
-                tiles.push((tile, data));
-            }
-            saved_expanded.push((t, count, tiles));
-            continue;
-        }
-        let version = table.version(t.id, 0)?;
-        if version == 0 {
-            continue;
-        }
-        let blocks = t.bytes.div_ceil(BLOCK_SIZE as u64);
-        let mut data = Vec::with_capacity(blocks as usize);
-        for b in 0..blocks {
-            let addr = t.addr.offset(b * BLOCK_SIZE as u64);
-            let block = read_with_retry(mem, recovery.as_deref_mut(), addr, version)?;
-            if let Some(rec) = recovery.as_deref_mut() {
-                rec.charge_sweep_read(addr, version);
-            }
-            data.push(block);
-        }
-        saved.push((t, data));
-    }
-    *epoch = epoch.wrapping_add(1);
-    mem.rekey(*epoch);
-    table.reset_epoch();
-    for (t, data) in saved {
-        let version = table.bump(t.id)?; // 0 -> 1 under the new epoch
-        for (b, block) in data.into_iter().enumerate() {
-            let addr = t.addr.offset(b as u64 * BLOCK_SIZE as u64);
-            mem.write_block(addr, version, block);
-            if let Some(rec) = recovery.as_deref_mut() {
-                rec.charge_sweep_write(addr, version);
-            }
-        }
-    }
-    for (t, count, tiles) in saved_expanded {
-        // reset_epoch collapsed the entry to Single(0); restore the
-        // expansion shape, then rewrite each written tile at 1.
-        table.expand(t.id, count)?;
-        for (tile, data) in tiles {
-            let version = table.bump_tile(t.id, tile)?; // 0 -> 1
-            let tile_base = u64::from(tile) * TILE_BYTES;
-            for (b, block) in data.into_iter().enumerate() {
-                let addr = t.addr.offset(tile_base + b as u64 * BLOCK_SIZE as u64);
-                mem.write_block(addr, version, block);
-                if let Some(rec) = recovery.as_deref_mut() {
-                    rec.charge_sweep_write(addr, version);
-                }
-            }
-        }
-    }
-    if let Some(rec) = recovery {
-        rec.note_sweep();
-    }
-    Ok(())
-}
-
-/// One verified read with the recovery retry budget. Without recovery
-/// this is exactly `mem.read_block` — the first result, pass or fail.
-/// With recovery, errors whose cause a re-fetch can plausibly clear (a
-/// stalled transfer, a content-cause MAC mismatch from transient bus
-/// corruption, a glitched counter fetch) are retried up to the budget,
-/// each attempt charged real cycles. Version- and address-cause
-/// mismatches are *semantic* — replayed or relocated ciphertext that
-/// re-reading the same state cannot fix — and escalate immediately, so
-/// retries never launder a replay into a recovery.
-pub(crate) fn read_with_retry<M: FunctionalMemory>(
-    mem: &M,
-    recovery: Option<&mut Recovery>,
-    addr: Addr,
-    version: u64,
-) -> Result<[u8; BLOCK_SIZE], IntegrityError> {
-    let first = mem.read_block(addr, version);
-    let Some(rec) = recovery else {
-        return first;
-    };
-    let mut last = match first {
-        Ok(data) => return Ok(data),
-        Err(e) => e,
-    };
-    for attempt in 0..rec.policy.max_retries {
-        if !retryable(&last) {
-            break;
-        }
-        rec.charge_retry(addr, version, attempt);
-        match mem.read_block(addr, version) {
-            Ok(data) => {
-                rec.note_recovered();
-                return Ok(data);
-            }
-            Err(e) => last = e,
-        }
-    }
-    rec.note_escalated();
-    Err(last)
-}
-
-/// Whether a re-fetch has any chance of clearing this error.
-fn retryable(e: &IntegrityError) -> bool {
-    match e {
-        // Transient signatures: a dropped/stalled transfer or flipped bits
-        // may read back clean on the next attempt.
-        IntegrityError::Stalled { .. } | IntegrityError::TreeMismatch { .. } => true,
-        IntegrityError::MacMismatch { cause, .. } => matches!(cause, MismatchCause::Content),
-        // Reading a never-written block is an addressing bug in the
-        // runner, not a fault: every retry re-reads the same hole.
-        IntegrityError::NotWritten { .. } => false,
-    }
-}
-
-/// Whether [`SecureRunner::recover`]'s re-encryption epoch sweep can lift
-/// the failure that quarantined a context.
-///
-/// Integrity failures are sweep-clearable (re-verify, re-key, drop the
-/// abandoned inference), as are the version states a sweep resets —
-/// exhaustion and a raced stale snapshot. Version-management *misuse* and
-/// CPU access errors indicate runner bugs: sweeping would mask the defect,
-/// so callers should leave the quarantine in place and surface the error.
-#[must_use]
-pub fn sweep_clearable(e: &RunError) -> bool {
-    match e {
-        RunError::Integrity(_) => true,
-        RunError::Version(v) => match v {
-            // The sweep resets every version and re-snapshots: these two
-            // states are exactly what it exists to clear.
-            VersionError::Exhausted(_) | VersionError::StaleSnapshot { .. } => true,
-            // Misuse of the version table: a sweep cannot fix the runner.
-            VersionError::UnknownTensor(_)
-            | VersionError::NoSuchTile { .. }
-            | VersionError::TilesNotUniform(_)
-            | VersionError::AlreadyExpanded(_)
-            | VersionError::NotExpanded(_) => false,
-        },
-        RunError::Finished | RunError::Cpu(_) | RunError::Poisoned => false,
-    }
-}
-
-/// Deterministic synthetic tensor contents.
-pub(crate) fn synth_bytes(seed: u64, tensor: u32, len: u64) -> Vec<u8> {
-    let mut rng = SplitMix64::new(seed.wrapping_add(u64::from(tensor) << 32));
-    let mut out = Vec::with_capacity(len as usize);
-    while (out.len() as u64) < len {
-        out.extend_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    out.truncate(len as usize);
-    out
-}
-
-pub(crate) fn seeded_from(state: &[u8; 32], tile: u32) -> SplitMix64 {
-    let mut seed = [0u8; 8];
-    // tnpu-lint: allow(panic-path) — `[..8]` of a `[u8; 32]` parameter.
-    seed.copy_from_slice(&state[..8]);
-    SplitMix64::new(u64::from_le_bytes(seed) ^ u64::from(tile))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::VersionError;
+    use tnpu_crypto::Key128;
     use tnpu_models::registry;
 
     fn runner(name: &str) -> SecureRunner {
@@ -899,7 +266,7 @@ mod tests {
             let mem = r.memory_mut();
             mem.write_block(weight.addr, 2, [9u8; 64]);
         }
-        r.table.bump(weight.id).expect("bump to 2");
+        r.core.table.bump(weight.id).expect("bump to 2");
         // ...attacker replays the old (valid-at-version-1) snapshot.
         r.memory_mut().restore(weight.addr, snap);
         match r.step() {
@@ -960,8 +327,6 @@ mod tests {
     #[test]
     fn poisoned_error_displays() {
         assert!(RunError::Poisoned.to_string().contains("quarantined"));
-        let cpu = RunError::Cpu(crate::cpu_access::TsError::ReadBufferEmpty);
-        assert!(cpu.to_string().contains("cpu"));
     }
 
     // ---- suspend / resume (context switches) ----
@@ -1176,11 +541,13 @@ mod proptests {
     use super::*;
     use crate::recovery::RetryPolicy;
     use proptest::prelude::*;
+    use tnpu_crypto::Key128;
     use tnpu_memprot::faults::{FaultKind, FaultyMemory};
     use tnpu_memprot::functional::UnsecureMemory;
     use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
     use tnpu_models::builder::ModelBuilder;
     use tnpu_models::Model;
+    use tnpu_sim::BLOCK_SIZE;
 
     fn tiny() -> Model {
         ModelBuilder::new("tiny", "TinyNet", (4, 8, 8))
@@ -1367,7 +734,7 @@ mod proptests {
                 straight.version_table().peak_storage_bytes()
             );
             prop_assert_eq!(r.recovery_stats(), straight.recovery_stats());
-            for t in r.live_tensors() {
+            for t in registered_tensors(&model, r.layout()) {
                 prop_assert_eq!(
                     r.version_table().version(t.id, 0),
                     straight.version_table().version(t.id, 0)
@@ -1387,7 +754,7 @@ mod proptests {
             );
             r.run().expect("clean");
             let capture = |r: &SecureRunner<TreelessMemory>| -> Vec<Vec<u8>> {
-                r.live_tensors()
+                registered_tensors(&model, r.layout())
                     .into_iter()
                     .map(|t| {
                         let v = r.version_table().version(t.id, 0).expect("registered");

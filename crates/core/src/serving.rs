@@ -43,8 +43,8 @@
 //!
 //! In *functional* mode ([`ServeSpec::functional`]) each request drives a
 //! real [`SecureRunner`] over real encrypted bytes: preemption calls
-//! [`suspend`](crate::secure_runner::SecureRunner::suspend), re-dispatch
-//! calls [`resume`](crate::secure_runner::SecureRunner::resume), and each
+//! [`suspend`](crate::session::Session::suspend), re-dispatch
+//! calls [`resume`](crate::session::Session::resume), and each
 //! completed request's output is verified against an unpreempted
 //! unsecure-memory reference — the proof that multiplexing never changes
 //! what a tenant computes.
@@ -52,7 +52,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::secure_runner::{RunnerSnapshot, SecureRunner};
+use crate::secure_runner::{SecureRunner, Static};
+use crate::session::{registered_tensors, Snapshot};
 use crate::version::ENTRY_BYTES;
 use crate::{RunSpec, Scheme, VersionTable};
 use tnpu_crypto::Key128;
@@ -433,14 +434,7 @@ fn model_data_uncached(
         .0;
     let model = registry::model(name).unwrap_or_else(|| panic!("model {name:?} not registered"));
     let layout = ModelLayout::allocate(&model, Addr(0));
-    // Mirrors SecureRunner::with_memory registration: the input, every
-    // non-shared weight tensor, and every layer output get a table entry.
-    let mut tensors = 1 + layout.outputs.len() as u64;
-    for (li, w) in layout.weights.iter().enumerate() {
-        if w.is_some() && model.layers[li].weights_shared_with.is_none() {
-            tensors += 1;
-        }
-    }
+    let tensors = registered_tensors(&model, &layout).len() as u64;
     ModelData {
         durations,
         unsecure_total,
@@ -451,9 +445,10 @@ fn model_data_uncached(
 
 /// Charges context-switch traffic through the cell's protection engine.
 ///
-/// Crate-visible so the stepped decode/train sessions
-/// ([`crate::stepped`]) bill their mid-sequence preemptions through the
-/// exact same cost model as the serving plane.
+/// Crate-visible so every functional session
+/// ([`Session::preemption_cycles`](crate::session::Session::preemption_cycles))
+/// bills its preemptions through the exact same cost model as the serving
+/// plane.
 pub(crate) struct Switcher {
     scheme: Scheme,
     engine: Box<dyn ProtectionEngine>,
@@ -483,10 +478,10 @@ impl Switcher {
     /// `vt_bytes` must be the *live* table size — a tensor that is
     /// tile-expanded at switch time (a decode session's KV cache
     /// mid-sequence) spills one entry per tile, not one per tensor.
-    /// Callers with a running [`SecureRunner`] or a [`RunnerSnapshot`]
-    /// take the size from there; the modeled (non-functional) path may
-    /// use the static per-tensor count only because static models are
-    /// fully merged at every layer boundary.
+    /// Callers with a running [`Session`](crate::session::Session) or a
+    /// [`Snapshot`] take the size from there; the modeled (non-functional)
+    /// path may use the static per-tensor count only because static models
+    /// are fully merged at every layer boundary.
     pub(crate) fn charge(&mut self, vt_bytes: u64, out: bool) -> u64 {
         if self.scheme == Scheme::Unsecure {
             return 0;
@@ -548,7 +543,7 @@ struct Ctx {
     start: Option<u64>,
     preemptions: u32,
     runner: Option<SecureRunner<Box<dyn FunctionalMemory>>>,
-    snapshot: Option<RunnerSnapshot>,
+    snapshot: Option<Snapshot<Static>>,
     reference: Option<Vec<u8>>,
 }
 
@@ -773,7 +768,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
                         let vt_bytes = ctx
                             .snapshot
                             .as_ref()
-                            .map_or(md.vt_bytes, RunnerSnapshot::table_bytes);
+                            .map_or(md.vt_bytes, Snapshot::table_bytes);
                         let out_cycles = switcher.charge(vt_bytes, true);
                         push(&mut events, &mut seq, now + out_cycles, Event::NpuFree(npu));
                     } else {
@@ -806,7 +801,7 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
             let vt_bytes = ctx
                 .snapshot
                 .as_ref()
-                .map_or(md.vt_bytes, RunnerSnapshot::table_bytes);
+                .map_or(md.vt_bytes, Snapshot::table_bytes);
             let in_cycles = switcher.charge(vt_bytes, false);
             dispatches += 1;
             if let Some(snapshot) = ctx.snapshot.take() {

@@ -1,17 +1,19 @@
-//! Stepped dynamic-dataflow sessions: autoregressive decode with a
+//! Stepped dynamic-dataflow programs: autoregressive decode with a
 //! growing KV cache, and training loops that rewrite every weight each
 //! iteration.
 //!
-//! The static [`crate::secure_runner`] writes each tensor exactly once per
-//! inference — the assumption the tree-less scheme's one-version-per-tensor
-//! design rests on (§III-A). This module drives the two workloads that
-//! break it:
+//! A static inference ([`crate::secure_runner`]) writes each tensor exactly
+//! once per pass — the assumption the tree-less scheme's
+//! one-version-per-tensor design rests on (§III-A). This module drives the
+//! two workloads that break it, as a [`Program`] on the same
+//! [`Session`] core:
 //!
 //! * **Decode** (`decode` in the model registry): every step ingests one
 //!   token, verifies the entire written KV prefix under its per-tile
 //!   versions, and appends the new token's K/V entry. The caches' version
 //!   state is tile-expanded on the first append, *grown* in place when an
-//!   append opens a new [`TILE_BYTES`] tile ([`VersionTable::expand`] on an
+//!   append opens a new [`TILE_BYTES`] tile
+//!   ([`VersionTable::expand`](crate::VersionTable::expand) on an
 //!   already-expanded tensor), and never merged mid-sequence. Appends
 //!   within a tile read-modify-write the frontier tile under a bumped tile
 //!   version, so every block of a tile is always MAC-bound to one uniform
@@ -31,23 +33,20 @@
 //! from the lowered trace (`tnpu_npu::trace::TileTrace::build_steps`),
 //! not from this functional model.
 
-use crate::cpu_access::CpuTensorAccess;
-use crate::recovery::{Recovery, RecoveryStats, RetryPolicy};
-use crate::secure_runner::{
-    epoch_sweep_tensors, read_with_retry, seeded_from, synth_bytes, RunError, TILE_BYTES,
+use crate::session::{
+    owned_weights, read_with_retry, state_seed, Program, RunError, Session, SessionCore, TILE_BYTES,
 };
-use crate::serving::Switcher;
-use crate::version::{VersionError, VersionSnapshot, VersionTable};
 use tnpu_crypto::sha256::Sha256;
-use tnpu_crypto::Key128;
 use tnpu_memprot::functional::{FunctionalMemory, TreelessMemory};
-use tnpu_memprot::ProtectionEngine;
 use tnpu_models::defs::dynamic::{CACHE_MARKER, DECODE_DIM};
 use tnpu_models::{Model, ELEM_BYTES};
 use tnpu_npu::alloc::{ModelLayout, TensorInfo};
-use tnpu_npu::config::NpuConfig;
 use tnpu_sim::rng::SplitMix64;
-use tnpu_sim::{Addr, BLOCK_SIZE};
+use tnpu_sim::BLOCK_SIZE;
+
+/// A functional stepped session for one NPU context: a [`Session`]
+/// running a [`Stepped`] decode or training loop.
+pub type SteppedSession<M = TreelessMemory> = Session<M, Stepped>;
 
 /// Which dynamic-dataflow shape a session is driving, derived from the
 /// model: any cache-marked weight tensor (see
@@ -76,48 +75,10 @@ pub struct StepTrace {
     pub swept: bool,
 }
 
-/// The architectural state a preempted stepped context saves through the
-/// fully-protected region: the epoch-tagged version-table snapshot — whose
-/// size now *grows with the sequence* as caches expand — plus the step
-/// cursor, session seed, and the weight digest the decode path folds into
-/// every step. Produced by [`SteppedSession::suspend`], consumed by
-/// [`SteppedSession::resume`].
+/// The decode/train program: the step cursor plus what the model's shape
+/// fixes at set-up.
 #[derive(Debug, Clone)]
-pub struct SteppedSnapshot {
-    table: VersionSnapshot,
-    step: u64,
-    seed: u64,
-    weight_state: [u8; 32],
-}
-
-impl SteppedSnapshot {
-    /// The re-encryption epoch the snapshot was taken in.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
-    /// Version-table bytes the snapshot carries — the DMA payload a
-    /// context switch moves, which mid-sequence includes one entry per
-    /// expanded cache tile (what [`Switcher::charge`] bills).
-    #[must_use]
-    pub fn table_bytes(&self) -> u64 {
-        self.table.bytes()
-    }
-}
-
-/// A functional stepped session for one NPU context.
-///
-/// Generic over the [`FunctionalMemory`] like [`crate::secure_runner`]:
-/// the default is the paper's tree-less scheme, and the
-/// observation-equivalence tests instantiate it over every scheme.
-#[derive(Debug)]
-pub struct SteppedSession<M: FunctionalMemory = TreelessMemory> {
-    model: Model,
-    layout: ModelLayout,
-    table: VersionTable,
-    mem: M,
-    cpu: CpuTensorAccess,
+pub struct Stepped {
     kind: SteppedKind,
     /// Cache tensors (decode): weight slots of cache-marked layers.
     caches: Vec<TensorInfo>,
@@ -132,60 +93,30 @@ pub struct SteppedSession<M: FunctionalMemory = TreelessMemory> {
     /// weight-stationary parameters from DRAM every token.
     weight_state: [u8; 32],
     step: u64,
-    seed: u64,
-    recovery: Option<Recovery>,
-    epoch: u64,
-    poisoned: bool,
 }
 
-impl SteppedSession<TreelessMemory> {
-    /// Set up a tree-less stepped context with keys from `master_key`.
-    #[must_use]
-    pub fn new(model: &Model, master_key: Key128, seed: u64) -> Self {
-        Self::with_memory(model, TreelessMemory::new(master_key), seed)
-    }
-}
+impl Program for Stepped {
+    type Trace = StepTrace;
 
-impl<M: FunctionalMemory> SteppedSession<M> {
-    /// Set up the context over an existing memory: allocate tensors,
-    /// register them, initialize the trained weights through the CPU
-    /// `ts_write` path, and leave the caches *unwritten* at version 0 —
-    /// their state is built up append by append.
-    #[must_use]
-    pub fn with_memory(model: &Model, mut mem: M, seed: u64) -> Self {
-        let layout = ModelLayout::allocate(model, Addr(0));
-        let mut table = VersionTable::new();
-        let mut cpu = CpuTensorAccess::new();
-
-        table.register(layout.input.id);
-
+    /// The trained weights are written up front; the input is written by
+    /// each step, and the caches stay *unwritten* at version 0 — their
+    /// state is built up append by append.
+    fn start(
+        model: &Model,
+        layout: &ModelLayout,
+        init: &mut dyn FnMut(TensorInfo) -> Vec<u8>,
+    ) -> Self {
         let mut caches = Vec::new();
         let mut weights = Vec::new();
         let mut digest = Sha256::new();
         digest.update(b"weight-state");
-        // ModelLayout::allocate builds one weights/outputs slot per model
-        // layer, so `li` always indexes both in the loop below.
-        for li in 0..model.layers.len() {
-            if let Some(w) = layout.weights[li] {
-                let layer = &model.layers[li];
-                // Shared slots reuse the owner's entry; everything else
-                // registers here. The guard must not skip the *output*
-                // registration below — a layer with tied weights still
-                // owns its output tensor.
-                if layer.weights_shared_with.is_none() {
-                    table.register(w.id);
-                    if layer.name.contains(CACHE_MARKER) {
-                        caches.push(w); // stays at version 0 until appended
-                    } else {
-                        let v = table.bump(w.id).expect("registered");
-                        let bytes = synth_bytes(seed, w.id, w.bytes);
-                        digest.update(&bytes);
-                        cpu.write_tensor(&mut mem, w.addr, v, &bytes);
-                        weights.push(w);
-                    }
-                }
+        for (layer, w) in owned_weights(model, layout) {
+            if layer.name.contains(CACHE_MARKER) {
+                caches.push(w); // stays at version 0 until appended
+            } else {
+                digest.update(&init(w));
+                weights.push(w);
             }
-            table.register(layout.outputs[li].id);
         }
         let kind = if caches.is_empty() {
             SteppedKind::Train
@@ -201,12 +132,7 @@ impl<M: FunctionalMemory> SteppedSession<M> {
                 .min()
                 .unwrap_or(0),
         };
-        SteppedSession {
-            model: model.clone(),
-            layout,
-            table,
-            mem,
-            cpu,
+        Stepped {
             kind,
             caches,
             weights,
@@ -214,186 +140,125 @@ impl<M: FunctionalMemory> SteppedSession<M> {
             capacity,
             weight_state: digest.finalize(),
             step: 0,
-            seed,
-            recovery: None,
-            epoch: 0,
-            poisoned: false,
         }
     }
 
-    /// Attach fault recovery (see
-    /// [`SecureRunner::enable_recovery`](crate::secure_runner::SecureRunner::enable_recovery)):
-    /// transient read failures get the retry budget, and version
-    /// exhaustion is consumed by an epoch sweep instead of aborting —
-    /// which for these workloads is the *normal* operating mode, since
-    /// churn makes exhaustion a matter of when, not if.
-    pub fn enable_recovery(&mut self, policy: RetryPolicy, engine: Box<dyn ProtectionEngine>) {
-        self.recovery = Some(Recovery::new(policy, engine));
-    }
-
-    /// What recovery has cost so far (`None` until
-    /// [`enable_recovery`](Self::enable_recovery)).
-    #[must_use]
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.recovery.as_ref().map(Recovery::stats)
-    }
-
-    /// Lower the version-exhaustion threshold. Meaningful recovery needs
-    /// a limit of at least 2 (the sweep itself rewrites at version 1),
-    /// and a decode step bumps its frontier cache tile from a value that
-    /// only grows over the sequence — the expand-grow rule seeds new
-    /// tiles at the current maximum so stale versions are never reused.
-    pub fn set_version_limit(&mut self, limit: u64) {
-        self.table.set_limit(limit);
-    }
-
-    /// Which dynamic-dataflow shape this session drives.
-    #[must_use]
-    pub fn kind(&self) -> SteppedKind {
-        self.kind
-    }
-
-    /// Steps taken so far.
-    #[must_use]
-    pub fn steps_taken(&self) -> u64 {
-        self.step
-    }
-
-    /// Steps the session can absorb: the KV capacity for decode
-    /// (`u64::MAX` for train).
-    #[must_use]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Current re-encryption epoch (0 until the first sweep).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether an earlier failure has quarantined this context.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// The version table (inspection).
-    #[must_use]
-    pub fn version_table(&self) -> &VersionTable {
-        &self.table
-    }
-
-    /// The model this session steps.
-    #[must_use]
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
-    /// The address map.
-    #[must_use]
-    pub fn layout(&self) -> &ModelLayout {
-        &self.layout
-    }
-
-    /// The untrusted protected memory, read-only.
-    #[must_use]
-    pub fn memory(&self) -> &M {
-        &self.mem
-    }
-
-    /// The untrusted protected memory — the attack hook for tests.
-    pub fn memory_mut(&mut self) -> &mut M {
-        &mut self.mem
-    }
-
-    /// Cycles a preemption of this context costs *right now* — one spill
-    /// plus one restore of the live version table through the serving
-    /// layer's context-switch cost model. Mid-sequence the table carries
-    /// one entry per expanded cache tile, so the price of preempting a
-    /// decode session grows with its position in the sequence (the
-    /// under-billing the static per-model estimate used to hide).
-    #[must_use]
-    pub fn preemption_cycles(&self, config: &NpuConfig) -> u64 {
-        let mut switcher = Switcher::new(self.mem.scheme(), config);
-        let vt_bytes = self.table.storage_bytes();
-        switcher.charge(vt_bytes, true) + switcher.charge(vt_bytes, false)
-    }
-
-    fn guard(&self) -> Result<(), RunError> {
-        if self.poisoned {
-            Err(RunError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Record the outcome of a fallible call: any error except
-    /// [`RunError::Finished`] quarantines the context.
-    fn note<T>(&mut self, r: Result<T, RunError>) -> Result<T, RunError> {
-        if let Err(e) = &r {
-            if !matches!(e, RunError::Finished) {
-                self.poisoned = true;
-            }
-        }
-        r
-    }
-
-    /// Every tensor the epoch sweep must preserve: input, trained
-    /// weights, caches (tile by tile), and every output slot.
-    fn sweep_set(&self) -> Vec<TensorInfo> {
-        let mut out = vec![self.layout.input];
+    /// Input, trained weights, caches (tile by tile), and every output
+    /// slot.
+    fn sweep_set(&self, _model: &Model, layout: &ModelLayout) -> Vec<TensorInfo> {
+        let mut out = vec![layout.input];
         out.extend(self.weights.iter().copied());
         out.extend(self.caches.iter().copied());
-        out.extend(self.layout.outputs.iter().copied());
+        out.extend(layout.outputs.iter().copied());
         out
     }
 
-    fn epoch_sweep(&mut self) -> Result<(), RunError> {
-        let live = self.sweep_set();
-        epoch_sweep_tensors(
-            &live,
-            &mut self.table,
-            &mut self.mem,
-            self.recovery.as_mut(),
-            &mut self.epoch,
-        )
+    fn step<M: FunctionalMemory>(
+        &mut self,
+        core: &mut SessionCore<M>,
+    ) -> Result<StepTrace, RunError> {
+        if self.step >= self.capacity {
+            return Err(RunError::Finished);
+        }
+        let s = self.step;
+        let mut swept = self.preflight(core)?;
+        let mut blocks_read = 0;
+        let mut blocks_written = 0;
+
+        // Ingest phase: the new token/batch under a bumped input version.
+        core.write_input(core.seed.wrapping_add(s), &mut swept)?;
+        let mut digest = Sha256::new();
+        digest.update(b"stepped");
+        digest.update(&s.to_le_bytes());
+        blocks_read += core.ingest_tensor(&mut digest, core.layout.input)?;
+
+        let mut grew_cache = false;
+        match self.kind {
+            SteppedKind::Decode => {
+                // Weight-stationary: parameters were initialized by this
+                // enclave and never leave DRAM unmodified reads behind —
+                // their digest was taken at init, for free.
+                digest.update(&self.weight_state);
+                // Attention reads the whole written KV prefix, verified
+                // tile by tile under the per-tile versions.
+                let frontier = ((s * self.append_bytes) / TILE_BYTES) as u32;
+                let mut priors = Vec::with_capacity(self.caches.len());
+                for &cache in &self.caches {
+                    priors.push(core.ingest_cache(
+                        &mut digest,
+                        cache,
+                        frontier,
+                        &mut blocks_read,
+                    )?);
+                }
+                let state = digest.finalize();
+                for (&cache, prior) in self.caches.iter().zip(priors) {
+                    grew_cache |=
+                        self.append_cache(core, cache, &state, prior, &mut blocks_written)?;
+                }
+                blocks_written += core.produce(core.output(), &state)?.1;
+            }
+            SteppedKind::Train => {
+                // The churn path: every weight is streamed in verified...
+                for &w in &self.weights {
+                    blocks_read += core.ingest_tensor(&mut digest, w)?;
+                }
+                let state = digest.finalize();
+                blocks_written += core.produce(core.output(), &state)?.1;
+                // ...and rewritten by the SGD update under a bumped
+                // version. The pre-flight swept if any would exhaust.
+                for &w in &self.weights {
+                    let v = core.bump_or_sweep(w.id, &mut swept)?;
+                    let mut rng = SplitMix64::new(state_seed(&state) ^ (u64::from(w.id) << 32) ^ s);
+                    let mut bytes = Vec::with_capacity(w.bytes as usize);
+                    while (bytes.len() as u64) < w.bytes {
+                        bytes.extend_from_slice(&rng.next_u64().to_le_bytes());
+                    }
+                    bytes.truncate(w.bytes as usize);
+                    core.cpu.write_tensor(&mut core.mem, w.addr, v, &bytes);
+                    blocks_written += w.bytes.div_ceil(BLOCK_SIZE as u64);
+                }
+            }
+        }
+        self.step += 1;
+        Ok(StepTrace {
+            step: s,
+            blocks_read,
+            blocks_written,
+            grew_cache,
+            swept,
+        })
     }
 
-    /// Attempt to lift the quarantine after a failure (see
-    /// [`SecureRunner::recover`](crate::secure_runner::SecureRunner::recover)).
-    /// Unlike the static runner, the step cursor survives: every write
-    /// in a step covers a whole tensor or tile under one version, so
-    /// whatever the failure interrupted, the sweep re-captures a
-    /// uniformly consistent state — mid-sequence KV expansion included —
-    /// and the quarantined step is simply retried in the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sweep's [`RunError::Integrity`] on persistent
-    /// tampering (the context stays poisoned).
-    pub fn recover(&mut self) -> Result<(), RunError> {
-        self.epoch_sweep()?;
-        self.poisoned = false;
-        Ok(())
-    }
+    /// The step cursor survives: every write in a step covers a whole
+    /// tensor or tile under one version, so whatever the failure
+    /// interrupted, the sweep re-captured a uniformly consistent state —
+    /// mid-sequence KV expansion included — and the quarantined step is
+    /// simply retried in the new epoch.
+    fn recovered(&mut self, _model: &Model) {}
+}
 
+impl Stepped {
     /// The version a decode step's append would bump each cache's
     /// frontier tile *to*: existing frontier tiles bump their own
     /// version; a tile the append will create is seeded at the cache's
     /// current maximum tile version (the expand-grow no-reuse rule).
-    fn next_frontier_version(&self, cache: TensorInfo) -> Result<u64, RunError> {
-        if !self.table.is_expanded(cache.id)? {
+    fn next_frontier_version<M>(
+        &self,
+        core: &SessionCore<M>,
+        cache: TensorInfo,
+    ) -> Result<u64, RunError> {
+        if !core.table.is_expanded(cache.id)? {
             return Ok(1);
         }
-        let count = self.table.tile_count(cache.id)?;
+        let count = core.table.tile_count(cache.id)?;
         let frontier = ((self.step * self.append_bytes) / TILE_BYTES) as u32;
         if frontier < count {
-            return Ok(self.table.version(cache.id, frontier)? + 1);
+            return Ok(core.table.version(cache.id, frontier)? + 1);
         }
         let mut max = 0;
         for tile in 0..count {
-            max = max.max(self.table.version(cache.id, tile)?);
+            max = max.max(core.table.version(cache.id, tile)?);
         }
         Ok(max + 1)
     }
@@ -402,60 +267,88 @@ impl<M: FunctionalMemory> SteppedSession<M> {
     /// cross the limit, sweep *now*, at the step boundary — a sweep in
     /// the middle of the append/update loop would strand half the state
     /// in each epoch.
-    fn preflight(&mut self) -> Result<bool, RunError> {
-        if self.recovery.is_none() {
+    fn preflight<M: FunctionalMemory>(&self, core: &mut SessionCore<M>) -> Result<bool, RunError> {
+        if core.recovery.is_none() {
             return Ok(false);
         }
-        let limit = self.table.limit();
-        let mut would_exhaust = self.table.version(self.layout.input.id, 0)? >= limit;
-        // tnpu-lint: allow(panic-path) — models have at least one layer.
-        let out = *self.layout.outputs.last().expect("models have layers");
+        let limit = core.table.limit();
+        let mut would_exhaust = core.table.version(core.layout.input.id, 0)? >= limit;
+        let out = core.output();
         would_exhaust |=
-            !self.table.is_expanded(out.id)? && self.table.version(out.id, 0)? >= limit;
+            !core.table.is_expanded(out.id)? && core.table.version(out.id, 0)? >= limit;
         if self.kind == SteppedKind::Train {
-            for w in self.weights.clone() {
-                would_exhaust |= self.table.version(w.id, 0)? >= limit;
+            for w in &self.weights {
+                would_exhaust |= core.table.version(w.id, 0)? >= limit;
             }
         }
-        for c in self.caches.clone() {
-            would_exhaust |= self.next_frontier_version(c)? > limit;
+        for &c in &self.caches {
+            would_exhaust |= self.next_frontier_version(core, c)? > limit;
         }
         if would_exhaust {
-            self.epoch_sweep()?;
+            core.epoch_sweep()?;
             return Ok(true);
         }
         Ok(false)
     }
 
-    /// Bump a single-entry tensor, consuming exhaustion with a sweep when
-    /// recovery is enabled (the reactive path behind the pre-flight).
-    fn bump_or_sweep(&mut self, id: u32, swept: &mut bool) -> Result<u64, RunError> {
-        match self.table.bump(id) {
-            Err(VersionError::Exhausted(_)) if self.recovery.is_some() => {
-                self.epoch_sweep()?;
-                *swept = true;
-                Ok(self.table.bump(id)?)
-            }
-            r => Ok(r?),
+    /// Append one token's entry to a cache: expand or grow the tile
+    /// versions to cover the frontier, bump the frontier tile, and
+    /// rewrite it whole (prior contents plus the spliced entry) under the
+    /// new version. Returns whether the expansion shape changed.
+    fn append_cache<M: FunctionalMemory>(
+        &self,
+        core: &mut SessionCore<M>,
+        cache: TensorInfo,
+        state: &[u8; 32],
+        prior: Option<Vec<u8>>,
+        blocks_written: &mut u64,
+    ) -> Result<bool, RunError> {
+        let off = self.step * self.append_bytes;
+        let frontier = (off / TILE_BYTES) as u32;
+        let needed = frontier + 1;
+        let grew = if !core.table.is_expanded(cache.id)? {
+            core.table.expand(cache.id, needed)?;
+            true
+        } else if core.table.tile_count(cache.id)? < needed {
+            // The mid-sequence grow: an append crossed into a new tile of
+            // an already-expanded cache.
+            core.table.expand(cache.id, needed)?;
+            true
+        } else {
+            false
+        };
+        let version = core.table.bump_tile(cache.id, frontier)?;
+        let tile_base = u64::from(frontier) * TILE_BYTES;
+        let tile_len = TILE_BYTES.min(cache.bytes - tile_base);
+        let mut bytes = prior.unwrap_or_else(|| vec![0u8; tile_len as usize]);
+        bytes.resize(tile_len as usize, 0);
+        let local = (off - tile_base) as usize;
+        let mut rng = SplitMix64::new(state_seed(state) ^ (u64::from(cache.id) << 32) ^ off);
+        let end = (local + self.append_bytes as usize).min(bytes.len());
+        // tnpu-lint: allow(panic-path) — local < end <= bytes.len(): the
+        // frontier offset lies inside the tile buffer sized just above.
+        for chunk in bytes[local..end].chunks_mut(8) {
+            let w = rng.next_u64().to_le_bytes();
+            let n = chunk.len();
+            // tnpu-lint: allow(panic-path) — chunks_mut(8) caps n at 8.
+            chunk.copy_from_slice(&w[..n]);
         }
-    }
-
-    /// Verify + read one whole tensor under its current version.
-    fn ingest_tensor(&mut self, digest: &mut Sha256, info: TensorInfo) -> Result<u64, RunError> {
-        let version = self.table.version(info.id, 0)?;
-        let blocks = info.bytes.div_ceil(BLOCK_SIZE as u64);
-        for b in 0..blocks {
-            let data = read_with_retry(
-                &self.mem,
-                self.recovery.as_mut(),
-                info.addr.offset(b * BLOCK_SIZE as u64),
-                version,
-            )?;
-            digest.update(&data);
+        let mut b = 0;
+        while b < tile_len {
+            let mut block = [0u8; BLOCK_SIZE];
+            let n = (tile_len - b).min(BLOCK_SIZE as u64) as usize;
+            // tnpu-lint: allow(panic-path) — b + n <= tile_len == bytes.len().
+            block[..n].copy_from_slice(&bytes[b as usize..b as usize + n]);
+            core.mem
+                .write_block(cache.addr.offset(tile_base + b), version, block);
+            *blocks_written += 1;
+            b += BLOCK_SIZE as u64;
         }
-        Ok(blocks)
+        Ok(grew)
     }
+}
 
+impl<M: FunctionalMemory> SessionCore<M> {
     /// Verify + read every written tile of a cache under its tile
     /// version, feeding the digest; returns the frontier tile's bytes if
     /// it has been written (the read half of the append's RMW).
@@ -497,268 +390,42 @@ impl<M: FunctionalMemory> SteppedSession<M> {
         }
         Ok(frontier_bytes)
     }
-
-    /// Append one token's entry to a cache: expand or grow the tile
-    /// versions to cover the frontier, bump the frontier tile, and
-    /// rewrite it whole (prior contents plus the spliced entry) under the
-    /// new version. Returns whether the expansion shape changed.
-    fn append_cache(
-        &mut self,
-        cache: TensorInfo,
-        state: &[u8; 32],
-        prior: Option<Vec<u8>>,
-        blocks_written: &mut u64,
-    ) -> Result<bool, RunError> {
-        let off = self.step * self.append_bytes;
-        let frontier = (off / TILE_BYTES) as u32;
-        let needed = frontier + 1;
-        let grew = if !self.table.is_expanded(cache.id)? {
-            self.table.expand(cache.id, needed)?;
-            true
-        } else if self.table.tile_count(cache.id)? < needed {
-            // The mid-sequence grow: an append crossed into a new tile of
-            // an already-expanded cache.
-            self.table.expand(cache.id, needed)?;
-            true
-        } else {
-            false
-        };
-        let version = self.table.bump_tile(cache.id, frontier)?;
-        let tile_base = u64::from(frontier) * TILE_BYTES;
-        let tile_len = TILE_BYTES.min(cache.bytes - tile_base);
-        let mut bytes = prior.unwrap_or_else(|| vec![0u8; tile_len as usize]);
-        bytes.resize(tile_len as usize, 0);
-        let local = (off - tile_base) as usize;
-        let mut rng = SplitMix64::new(state_seed(state) ^ (u64::from(cache.id) << 32) ^ off);
-        let end = (local + self.append_bytes as usize).min(bytes.len());
-        // tnpu-lint: allow(panic-path) — local < end <= bytes.len(): the
-        // frontier offset lies inside the tile buffer sized just above.
-        for chunk in bytes[local..end].chunks_mut(8) {
-            let w = rng.next_u64().to_le_bytes();
-            let n = chunk.len();
-            // tnpu-lint: allow(panic-path) — chunks_mut(8) caps n at 8.
-            chunk.copy_from_slice(&w[..n]);
-        }
-        let mut b = 0;
-        while b < tile_len {
-            let mut block = [0u8; BLOCK_SIZE];
-            let n = (tile_len - b).min(BLOCK_SIZE as u64) as usize;
-            // tnpu-lint: allow(panic-path) — b + n <= tile_len == bytes.len().
-            block[..n].copy_from_slice(&bytes[b as usize..b as usize + n]);
-            self.mem
-                .write_block(cache.addr.offset(tile_base + b), version, block);
-            *blocks_written += 1;
-            b += BLOCK_SIZE as u64;
-        }
-        Ok(grew)
-    }
-
-    /// Produce the session's output tensor (the last layer's slot) from
-    /// the step digest — expand, per-tile bump, write, merge, exactly the
-    /// static runner's mvout discipline.
-    fn produce_output(&mut self, state: &[u8; 32]) -> Result<u64, RunError> {
-        // tnpu-lint: allow(panic-path) — models have at least one layer.
-        let out = *self.layout.outputs.last().expect("models have layers");
-        let tiles = out.bytes.div_ceil(TILE_BYTES).max(1) as u32;
-        self.table.expand(out.id, tiles)?;
-        let mut blocks_written = 0;
-        for tile in 0..tiles {
-            let version = self.table.bump_tile(out.id, tile)?;
-            let tile_base = u64::from(tile) * TILE_BYTES;
-            let tile_len = TILE_BYTES.min(out.bytes - tile_base);
-            let mut rng = seeded_from(state, tile);
-            let mut off = 0;
-            while off < tile_len {
-                let mut block = [0u8; BLOCK_SIZE];
-                for chunk in block.chunks_exact_mut(8) {
-                    chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-                }
-                self.mem
-                    .write_block(out.addr.offset(tile_base + off), version, block);
-                blocks_written += 1;
-                off += BLOCK_SIZE as u64;
-            }
-        }
-        self.table.merge(out.id)?;
-        Ok(blocks_written)
-    }
-
-    /// Execute one step (a decoded token or a training iteration).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] when a verified read fails;
-    /// [`RunError::Version`] on exhaustion without recovery;
-    /// [`RunError::Finished`] when a decode session's KV capacity is
-    /// spent; [`RunError::Poisoned`] if the context is quarantined.
-    pub fn step(&mut self) -> Result<StepTrace, RunError> {
-        self.guard()?;
-        if self.step >= self.capacity {
-            return Err(RunError::Finished);
-        }
-        let r = self.step_inner();
-        self.note(r)
-    }
-
-    fn step_inner(&mut self) -> Result<StepTrace, RunError> {
-        let s = self.step;
-        let mut swept = self.preflight()?;
-        let mut blocks_read = 0;
-        let mut blocks_written = 0;
-
-        // Ingest phase: the new token/batch under a bumped input version.
-        let input = self.layout.input;
-        let in_version = self.bump_or_sweep(input.id, &mut swept)?;
-        let in_bytes = synth_bytes(self.seed.wrapping_add(s), input.id, input.bytes);
-        self.cpu
-            .write_tensor(&mut self.mem, input.addr, in_version, &in_bytes);
-
-        let mut digest = Sha256::new();
-        digest.update(b"stepped");
-        digest.update(&s.to_le_bytes());
-        blocks_read += self.ingest_tensor(&mut digest, input)?;
-
-        let mut grew_cache = false;
-        match self.kind {
-            SteppedKind::Decode => {
-                // Weight-stationary: parameters were initialized by this
-                // enclave and never leave DRAM unmodified reads behind —
-                // their digest was taken at init, for free.
-                digest.update(&self.weight_state);
-                // Attention reads the whole written KV prefix, verified
-                // tile by tile under the per-tile versions.
-                let frontier = ((s * self.append_bytes) / TILE_BYTES) as u32;
-                let mut priors = Vec::with_capacity(self.caches.len());
-                for cache in self.caches.clone() {
-                    priors.push(self.ingest_cache(
-                        &mut digest,
-                        cache,
-                        frontier,
-                        &mut blocks_read,
-                    )?);
-                }
-                let state = digest.finalize();
-                for (cache, prior) in self.caches.clone().into_iter().zip(priors) {
-                    grew_cache |= self.append_cache(cache, &state, prior, &mut blocks_written)?;
-                }
-                blocks_written += self.produce_output(&state)?;
-            }
-            SteppedKind::Train => {
-                // The churn path: every weight is streamed in verified...
-                for w in self.weights.clone() {
-                    blocks_read += self.ingest_tensor(&mut digest, w)?;
-                }
-                let state = digest.finalize();
-                blocks_written += self.produce_output(&state)?;
-                // ...and rewritten by the SGD update under a bumped
-                // version. The pre-flight swept if any would exhaust.
-                for w in self.weights.clone() {
-                    let v = self.bump_or_sweep(w.id, &mut swept)?;
-                    let mut rng = SplitMix64::new(state_seed(&state) ^ (u64::from(w.id) << 32) ^ s);
-                    let mut bytes = Vec::with_capacity(w.bytes as usize);
-                    while (bytes.len() as u64) < w.bytes {
-                        bytes.extend_from_slice(&rng.next_u64().to_le_bytes());
-                    }
-                    bytes.truncate(w.bytes as usize);
-                    self.cpu.write_tensor(&mut self.mem, w.addr, v, &bytes);
-                    blocks_written += w.bytes.div_ceil(BLOCK_SIZE as u64);
-                }
-            }
-        }
-        self.step += 1;
-        Ok(StepTrace {
-            step: s,
-            blocks_read,
-            blocks_written,
-            grew_cache,
-            swept,
-        })
-    }
-
-    /// Read the session output (logits / loss surrogate) back on the CPU
-    /// side, verifying it.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Integrity`] if verification fails;
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn read_output(&mut self) -> Result<Vec<u8>, RunError> {
-        self.guard()?;
-        let r = self.read_output_inner();
-        self.note(r)
-    }
-
-    fn read_output_inner(&mut self) -> Result<Vec<u8>, RunError> {
-        // tnpu-lint: allow(panic-path) — models have at least one layer.
-        let last = *self.layout.outputs.last().expect("models have layers");
-        let version = self.table.version(last.id, 0)?;
-        let blocks = last.bytes.div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::with_capacity(last.bytes as usize);
-        for b in 0..blocks {
-            let addr = last.addr.offset(b * BLOCK_SIZE as u64);
-            let data = read_with_retry(&self.mem, self.recovery.as_mut(), addr, version)?;
-            out.extend_from_slice(&data);
-        }
-        out.truncate(last.bytes as usize);
-        Ok(out)
-    }
-
-    /// Suspend at a step boundary for a context switch (see
-    /// [`SteppedSnapshot`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Poisoned`] if the context is quarantined.
-    pub fn suspend(&self) -> Result<SteppedSnapshot, RunError> {
-        self.guard()?;
-        Ok(SteppedSnapshot {
-            table: self.table.snapshot(self.epoch),
-            step: self.step,
-            seed: self.seed,
-            weight_state: self.weight_state,
-        })
-    }
-
-    /// Resume from a [`suspend`](Self::suspend) snapshot, re-validating
-    /// its epoch tag against the context's current epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Version`] with
-    /// [`VersionError::StaleSnapshot`] if an epoch sweep ran while the
-    /// context was suspended (the attempt quarantines the context);
-    /// [`RunError::Poisoned`] if already quarantined.
-    pub fn resume(&mut self, snapshot: &SteppedSnapshot) -> Result<(), RunError> {
-        self.guard()?;
-        let r = self.resume_inner(snapshot);
-        self.note(r)
-    }
-
-    fn resume_inner(&mut self, snapshot: &SteppedSnapshot) -> Result<(), RunError> {
-        self.table.restore(&snapshot.table, self.epoch)?;
-        self.step = snapshot.step;
-        self.seed = snapshot.seed;
-        self.weight_state = snapshot.weight_state;
-        Ok(())
-    }
 }
 
-/// The first eight digest bytes as a little-endian RNG seed.
-fn state_seed(state: &[u8; 32]) -> u64 {
-    let mut seed = [0u8; 8];
-    // tnpu-lint: allow(panic-path) — `[..8]` of a `[u8; 32]` parameter.
-    seed.copy_from_slice(&state[..8]);
-    u64::from_le_bytes(seed)
+impl<M: FunctionalMemory> Session<M, Stepped> {
+    /// Which dynamic-dataflow shape this session drives.
+    #[must_use]
+    pub fn kind(&self) -> SteppedKind {
+        self.program.kind
+    }
+
+    /// Steps taken so far.
+    #[must_use]
+    pub fn steps_taken(&self) -> u64 {
+        self.program.step
+    }
+
+    /// Steps the session can absorb: the KV capacity for decode
+    /// (`u64::MAX` for train).
+    #[must_use]
+    pub fn capacity(&self) -> u64 {
+        self.program.capacity
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version::ENTRY_BYTES;
+    use crate::recovery::RetryPolicy;
+    use crate::version::{VersionError, ENTRY_BYTES};
     use proptest::prelude::*;
+    use tnpu_crypto::Key128;
     use tnpu_memprot::functional::build_functional;
+    use tnpu_memprot::ProtectionEngine;
     use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
     use tnpu_models::registry;
+    use tnpu_npu::config::NpuConfig;
+    use tnpu_sim::Addr;
 
     fn decode_session() -> SteppedSession {
         let model = registry::model("decode").expect("registered");
@@ -790,9 +457,9 @@ mod tests {
     #[test]
     fn decode_appends_grow_version_state_without_merging() {
         let mut s = decode_session();
-        let cache = s.caches[0];
+        let cache = s.program.caches[0];
         let before = s.version_table().storage_bytes();
-        let appends_per_tile = TILE_BYTES / s.append_bytes;
+        let appends_per_tile = TILE_BYTES / s.program.append_bytes;
         let steps = appends_per_tile + 1; // one past the tile boundary
         let mut grew = 0;
         for i in 0..steps {
@@ -836,7 +503,7 @@ mod tests {
         let stats = s.recovery_stats().expect("recovery enabled");
         assert_eq!(stats.sweeps, swept);
         assert!(stats.sweep_cycles > 0, "sweeps are charged");
-        for cache in s.caches.clone() {
+        for cache in s.program.caches.clone() {
             assert!(
                 s.version_table().is_expanded(cache.id).expect("known"),
                 "sweep preserved the mid-sequence expansion"
@@ -909,7 +576,7 @@ mod tests {
         let mut s = decode_session();
         s.step().expect("step 0");
         let early = s.preemption_cycles(&config);
-        let appends_per_tile = TILE_BYTES / s.append_bytes;
+        let appends_per_tile = TILE_BYTES / s.program.append_bytes;
         for _ in 0..appends_per_tile {
             s.step().expect("clean step");
         }

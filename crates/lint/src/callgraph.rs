@@ -16,8 +16,8 @@
 //!   reach DRAM). A finding is reported at the call site where a function
 //!   outside `crates/memprot` first crosses into the tainted set.
 //! * **panic-path** — forward reachability from the public API roots
-//!   (`pub` methods of `Session`/`SecureRunner`, `pub` fns in `serving`
-//!   modules) over both edge classes (an over-approximation that errs
+//!   (`pub` methods of the functional `Session` and the platform
+//!   `SecureNpuSession`, `pub` fns in `serving` modules) over both edge classes (an over-approximation that errs
 //!   towards auditing more), flagging every panic-capable site in reached
 //!   non-test code.
 //! * **error-variant-consumption** — no reachability at all: workspace-wide
@@ -181,7 +181,7 @@ fn engine_bypass(ws: &Workspace, graph: &Graph) -> Vec<SemFinding> {
 }
 
 /// Types whose `pub` methods form the session-facing API surface.
-const API_TYPES: &[&str] = &["Session", "SecureRunner"];
+const API_TYPES: &[&str] = &["Session", "SecureNpuSession"];
 
 /// `panic-path`: forward reachability from the public API surface.
 fn panic_path(ws: &Workspace, graph: &Graph) -> Vec<SemFinding> {
@@ -453,6 +453,21 @@ mod tests {
         )];
         let found = findings_for("panic-path", files);
         assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn pub_methods_of_both_session_types_are_roots() {
+        for ty in ["Session", "SecureNpuSession"] {
+            let files = vec![entry(
+                "crates/core/src/api.rs",
+                &format!(
+                    "pub struct {ty};\nimpl {ty} {{\n  pub fn query(&self, i: usize) -> u32 {{ self.slots[i] }}\n}}\n"
+                ),
+            )];
+            let found = findings_for("panic-path", files);
+            assert_eq!(found.len(), 1, "{ty}: {found:?}");
+            assert!(found[0].2.contains(&format!("{ty}::query")), "{found:?}");
+        }
     }
 
     #[test]

@@ -98,27 +98,6 @@ pub fn run_shared_mixed_seeded(
     TileTrace::build(models, npu, base_seed).replay(engine, npu, models.len())
 }
 
-/// Run `count` NPUs each executing a step-loop session — one model per
-/// step (an autoregressive decode growing its KV caches, or a training
-/// loop's iterations) — over one shared engine. Lowers via
-/// [`TileTrace::build_steps`] and replays, so results are byte-identical
-/// to replaying the same stepped trace directly.
-///
-/// # Panics
-///
-/// Panics if `steps` is empty, `count` is zero, or a step's tensors
-/// exceed the per-NPU region.
-#[must_use]
-pub fn run_steps_seeded(
-    steps: &[&Model],
-    npu: &NpuConfig,
-    engine: Box<dyn ProtectionEngine>,
-    count: usize,
-    base_seed: u64,
-) -> Vec<RunReport> {
-    TileTrace::build_steps(steps, npu, count, base_seed).replay(engine, npu, count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,20 +178,6 @@ mod tests {
             mixed[0].total.0,
             df_alone
         );
-    }
-
-    #[test]
-    fn stepped_run_matches_trace_replay() {
-        let steps: Vec<Model> = (1..=3)
-            .map(tnpu_models::defs::dynamic::decode_step)
-            .collect();
-        let refs: Vec<&Model> = steps.iter().collect();
-        let npu = NpuConfig::small_npu();
-        let build = || build_engine(SchemeKind::Treeless, &ProtectionConfig::paper_default());
-        let direct = run_steps_seeded(&refs, &npu, build(), 2, 0xBEEF);
-        let trace = TileTrace::build_steps(&refs, &npu, 2, 0xBEEF);
-        let replayed = trace.replay(build(), &npu, 2);
-        assert_eq!(direct, replayed);
     }
 
     #[test]
