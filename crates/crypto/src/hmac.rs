@@ -14,34 +14,21 @@ use crate::sha256::{sha256, Sha256};
 /// ```
 #[must_use]
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut block_key = [0u8; 64];
-    if key.len() > 64 {
-        block_key[..32].copy_from_slice(&sha256(key));
-    } else {
-        block_key[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= block_key[i];
-        opad[i] ^= block_key[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    let mut mac = HmacSha256::new(key);
+    mac.update(data);
+    mac.finalize()
 }
 
 /// An incremental HMAC-SHA256 context for MACing scattered fields without
 /// concatenating them into a buffer first.
+///
+/// The context holds the SHA-256 midstates after absorbing the ipad and
+/// opad blocks, so a keyed context can be built once and cloned per
+/// message: each clone skips the two key-block compressions.
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad: [u8; 64],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -62,7 +49,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 { inner, opad }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb more data.
@@ -73,10 +62,8 @@ impl HmacSha256 {
     /// Produce the 32-byte tag.
     #[must_use]
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
