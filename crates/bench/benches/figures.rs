@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use tnpu_bench::experiments;
 use tnpu_bench::tables;
 use tnpu_core::endtoend::run_end_to_end;
-use tnpu_memprot::SchemeKind;
-use tnpu_npu::NpuConfig;
+use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
+use tnpu_npu::{NpuConfig, TileTrace, DEFAULT_BASE_SEED};
 
 /// The cheap pair used by the per-figure benches: one conv model and one
 /// gather-heavy model.
@@ -69,12 +69,12 @@ fn bench_figures(c: &mut Criterion) {
     group.bench_function("fig16_scalability_3npu", |b| {
         b.iter(|| {
             let model = tnpu_models::registry::model("df").expect("registered");
-            std::hint::black_box(tnpu_npu::simulate_multi(
-                &model,
-                &NpuConfig::small_npu(),
-                SchemeKind::Treeless,
-                3,
-            ))
+            let npu = NpuConfig::small_npu();
+            let engine = build_engine(SchemeKind::Treeless, &ProtectionConfig::paper_default());
+            std::hint::black_box(
+                TileTrace::build_replicated(&model, &npu, 3, DEFAULT_BASE_SEED)
+                    .replay(engine, &npu, 3),
+            )
         });
     });
 

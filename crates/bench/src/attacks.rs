@@ -2,13 +2,13 @@
 //! model, computed on the deterministic worker pool.
 //!
 //! Each cell is an independent job (a full two-pass functional inference
-//! with one injected attack — [`tnpu_core::attacks::run_cell`]), so the
+//! with one injected attack — [`tnpu_core::attacks::run_cell_on`]), so the
 //! matrix fans out over [`crate::sweep`] like every other experiment and
 //! stdout stays byte-identical at any thread count.
 
 use crate::sweep as pool;
 use crate::PoolReport;
-use tnpu_core::attacks::{run_cell, CellResult};
+use tnpu_core::attacks::{run_cell_on, CellResult, Surface};
 use tnpu_core::Scheme;
 use tnpu_memprot::adversary::AttackKind;
 use tnpu_models::registry;
@@ -24,9 +24,7 @@ pub const DEFAULT_MODELS: [&str; 2] = ["df", "ncf"];
 /// Run the full matrix for `models` on the session pool.
 #[must_use]
 pub fn matrix(models: &[&str]) -> Vec<(String, CellResult)> {
-    let (cells, report) = matrix_with_threads(pool::threads(), models);
-    pool::record(report);
-    cells
+    pool::recorded(matrix_with_threads(pool::threads(), models))
 }
 
 /// [`matrix`] at an explicit pool width, returning the timing report
@@ -53,7 +51,7 @@ pub fn matrix_with_threads(
         |(model, scheme, attack)| format!("{model}/{scheme}/{attack}"),
         |(model, scheme, attack)| {
             let m = registry::model(model).expect("registered model");
-            run_cell(&m, *scheme, *attack)
+            run_cell_on(&m, *scheme, *attack, Surface::Resident)
         },
     );
     let cells = jobs

@@ -15,53 +15,21 @@
 //! any fault cell contradicts the fault model. stdout is byte-identical
 //! at any thread count; timing goes to stderr.
 
+use tnpu_bench::cli::{Cli, Flag, Positional};
 use tnpu_bench::{attacks, decode, faults, sweep};
 
-fn parse_thread_count(value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads wants a positive integer, got {value:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut deny_undetected = false;
-    let mut deny_corrupted = false;
-    let mut bench_json: Option<std::path::PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--deny-undetected" {
-            deny_undetected = true;
-        } else if arg == "--deny-corrupted" {
-            deny_corrupted = true;
-        } else if arg == "--threads" {
-            let Some(value) = iter.next() else {
-                eprintln!("--threads wants a value");
-                std::process::exit(2);
-            };
-            sweep::set_threads(parse_thread_count(value));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            sweep::set_threads(parse_thread_count(value));
-        } else if arg == "--bench-json" {
-            let Some(value) = iter.next() else {
-                eprintln!("--bench-json wants a path");
-                std::process::exit(2);
-            };
-            bench_json = Some(value.into());
-        } else if let Some(value) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(value.into());
-        } else {
-            eprintln!("unknown flag: {arg}");
-            std::process::exit(2);
-        }
+    let args = Cli {
+        flags: &[
+            Flag::Quick,
+            Flag::DenyUndetected,
+            Flag::DenyCorrupted,
+            Flag::BenchJson,
+        ],
+        positional: Positional::Nothing,
     }
+    .args();
+    let quick = args.has(Flag::Quick);
 
     // Quick keeps the joined matrices to the decode model, the sparser
     // fault period, and two passes — the dynamic models push megabytes
@@ -93,36 +61,25 @@ fn main() {
     println!("==== decode attacks ====");
     println!("{}", attacks::render(&attack_cells));
 
-    let (fault_cells, report) =
-        faults::matrix_with_threads_at(sweep::threads(), models, periods, passes);
-    sweep::record(report);
+    let fault_cells = sweep::recorded(faults::matrix_with_threads(
+        sweep::threads(),
+        models,
+        periods,
+        passes,
+    ));
     println!("==== decode faults ====");
     println!("{}", faults::render(&fault_cells));
 
-    // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count. The optional
-    // benchmark record goes to its own file, never to stdout.
-    let pools = sweep::take_session();
-    if let Some(summary) = sweep::summarize(&pools) {
-        eprint!("{summary}");
-    }
-    if let Some(path) = bench_json {
-        let record = sweep::bench_record_json(&args.join(" "), sweep::threads(), &pools);
-        if let Err(e) = sweep::append_bench_json(&path, &record) {
-            eprintln!("cannot write benchmark record to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("benchmark record appended to {}", path.display());
-    }
-
     let undetected = attack_cells.iter().filter(|(_, c)| !c.matches()).count();
-    if deny_undetected && undetected > 0 {
-        eprintln!("--deny-undetected: {undetected} cell(s) contradict the paper's claims");
-        std::process::exit(1);
-    }
     let corrupted = fault_cells.iter().filter(|c| !c.matches()).count();
-    if deny_corrupted && corrupted > 0 {
-        eprintln!("--deny-corrupted: {corrupted} cell(s) contradict the fault model");
-        std::process::exit(1);
-    }
+    args.finish(&[
+        (
+            Flag::DenyUndetected,
+            (undetected > 0).then(|| format!("{undetected} cell(s) contradict the paper's claims")),
+        ),
+        (
+            Flag::DenyCorrupted,
+            (corrupted > 0).then(|| format!("{corrupted} cell(s) contradict the fault model")),
+        ),
+    ]);
 }

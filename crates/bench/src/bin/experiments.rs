@@ -2,9 +2,12 @@
 //!
 //! ```text
 //! experiments [--quick] [--threads N] [--bench-json PATH] [target ...]
-//! targets: table2 table3 fig4 fig5 fig14 fig15 fig16 fig17 vtable hwcost all
+//! targets: table2 table3 fig4 fig5 fig14 fig15 fig16 fig17 csv check
+//!          vtable hwcost ext_scaling ablations all
 //! ```
 //!
+//! No target, or `all`, runs every target but `csv`, `check` and
+//! `ext_scaling`. An unknown target is refused before anything runs.
 //! Cells of each experiment run in parallel on a worker pool sized by
 //! `--threads N` (or the `TNPU_THREADS` environment variable, defaulting
 //! to all cores). stdout is byte-identical at any thread count; the
@@ -13,65 +16,41 @@
 //! the run's pool timings to the array in `PATH` (creating it if absent),
 //! growing the perf-trajectory log `make bench` maintains.
 
+use tnpu_bench::cli::{Cli, Flag, Positional};
 use tnpu_bench::experiments::{self, model_list};
-use tnpu_bench::{sweep, tables};
+use tnpu_bench::tables;
 
-fn parse_thread_count(value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads wants a positive integer, got {value:?}");
-            std::process::exit(2);
-        }
-    }
-}
+/// Every accepted target. `all` (or no target) expands to the first
+/// [`ALL`] of them.
+const TARGETS: [&str; 15] = [
+    "table2",
+    "table3",
+    "fig4",
+    "fig5",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "vtable",
+    "hwcost",
+    "ablations",
+    "csv",
+    "check",
+    "ext_scaling",
+    "all",
+];
+const ALL: usize = 11;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut bench_json: Option<std::path::PathBuf> = None;
-    let mut targets: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--threads" {
-            let Some(value) = iter.next() else {
-                eprintln!("--threads wants a value");
-                std::process::exit(2);
-            };
-            sweep::set_threads(parse_thread_count(value));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            sweep::set_threads(parse_thread_count(value));
-        } else if arg == "--bench-json" {
-            let Some(value) = iter.next() else {
-                eprintln!("--bench-json wants a path");
-                std::process::exit(2);
-            };
-            bench_json = Some(value.into());
-        } else if let Some(value) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(value.into());
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag: {arg}");
-            std::process::exit(2);
-        } else {
-            targets.push(arg.as_str());
-        }
+    let args = Cli {
+        flags: &[Flag::Quick, Flag::BenchJson],
+        positional: Positional::Targets(&TARGETS),
     }
+    .args();
+    let quick = args.has(Flag::Quick);
+    let mut targets = args.positional_or(&[]);
     if targets.is_empty() || targets.contains(&"all") {
-        targets = vec![
-            "table2",
-            "table3",
-            "fig4",
-            "fig5",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "vtable",
-            "hwcost",
-            "ablations",
-        ];
+        targets = TARGETS[..ALL].to_vec();
     }
     let models = model_list(quick);
 
@@ -125,28 +104,11 @@ fn main() {
                 s += &tnpu_bench::ablations::integrity_price(&["alex", "df", "sent", "ncf"]);
                 s
             }
-            other => {
-                eprintln!("unknown target: {other}");
-                std::process::exit(2);
-            }
+            other => unreachable!("target {other} passed validation"),
         };
         println!("==== {target} ====");
         println!("{rendered}");
     }
 
-    // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count. The optional
-    // benchmark record goes to its own file, never to stdout.
-    let pools = sweep::take_session();
-    if let Some(summary) = sweep::summarize(&pools) {
-        eprint!("{summary}");
-    }
-    if let Some(path) = bench_json {
-        let record = sweep::bench_record_json(&args.join(" "), sweep::threads(), &pools);
-        if let Err(e) = sweep::append_bench_json(&path, &record) {
-            eprintln!("cannot write benchmark record to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("benchmark record appended to {}", path.display());
-    }
+    args.finish(&[]);
 }

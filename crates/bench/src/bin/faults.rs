@@ -13,62 +13,22 @@
 //! schemes never compute on corrupted data. stdout is byte-identical at
 //! any thread count; timing goes to stderr.
 
-use tnpu_bench::{faults, sweep};
-use tnpu_models::registry;
-
-fn parse_thread_count(value: &str) -> usize {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--threads wants a positive integer, got {value:?}");
-            std::process::exit(2);
-        }
-    }
-}
+use tnpu_bench::cli::{Cli, Flag, Positional};
+use tnpu_bench::faults;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut deny = false;
-    let mut models: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--deny-corrupted" {
-            deny = true;
-        } else if arg == "--threads" {
-            let Some(value) = iter.next() else {
-                eprintln!("--threads wants a value");
-                std::process::exit(2);
-            };
-            sweep::set_threads(parse_thread_count(value));
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            sweep::set_threads(parse_thread_count(value));
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag: {arg}");
-            std::process::exit(2);
-        } else if registry::model(arg).is_some() {
-            models.push(arg.as_str());
-        } else {
-            eprintln!("unknown model: {arg}");
-            std::process::exit(2);
-        }
+    let args = Cli {
+        flags: &[Flag::DenyCorrupted],
+        positional: Positional::Models,
     }
-    if models.is_empty() {
-        models = faults::DEFAULT_MODELS.to_vec();
-    }
-
-    let cells = faults::matrix(&models);
+    .args();
+    let cells = faults::matrix(&args.positional_or(&faults::DEFAULT_MODELS));
     println!("==== faults ====");
     println!("{}", faults::render(&cells));
 
-    // Timing telemetry is nondeterministic, so it goes to stderr only —
-    // stdout must stay byte-identical at any thread count.
-    if let Some(summary) = sweep::session_summary() {
-        eprint!("{summary}");
-    }
-
     let bad = cells.iter().filter(|c| !c.matches()).count();
-    if deny && bad > 0 {
-        eprintln!("--deny-corrupted: {bad} cell(s) contradict the fault model");
-        std::process::exit(1);
-    }
+    args.finish(&[(
+        Flag::DenyCorrupted,
+        (bad > 0).then(|| format!("{bad} cell(s) contradict the fault model")),
+    )]);
 }

@@ -133,9 +133,7 @@ fn sweep_specs(models: &[&str], npu_counts: &[usize]) -> Vec<(SweepKey, RunSpec)
 /// record its timings for the end-of-run summary.
 #[must_use]
 pub fn sweep(models: &[&str], npu_counts: &[usize]) -> Sweep {
-    let (swept, report) = sweep_with_threads(pool::threads(), models, npu_counts);
-    pool::record(report);
-    swept
+    pool::recorded(sweep_with_threads(pool::threads(), models, npu_counts))
 }
 
 /// [`sweep`] at an explicit pool width, returning the timing report
@@ -171,9 +169,7 @@ pub fn model_list(quick: bool) -> Vec<&'static str> {
 /// the session worker pool.
 #[must_use]
 pub fn fig17_sweep(models: &[&str]) -> BTreeMap<SweepKey, EndToEndReport> {
-    let (data, report) = fig17_sweep_with_threads(pool::threads(), models);
-    pool::record(report);
-    data
+    pool::recorded(fig17_sweep_with_threads(pool::threads(), models))
 }
 
 /// [`fig17_sweep`] at an explicit pool width, returning the timing report

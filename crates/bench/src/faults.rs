@@ -55,7 +55,7 @@ pub const DEFAULT_PERIODS: [u64; 2] = [101, 257];
 pub const PASSES: u64 = 5;
 
 /// Pass count for the decode smoke gate
-/// ([`matrix_with_threads_at`]) — enough for cross-inference version
+/// ([`matrix_with_threads`]) — enough for cross-inference version
 /// churn without the full matrix's serial cost.
 pub const QUICK_PASSES: u64 = 2;
 
@@ -144,7 +144,7 @@ impl FaultCell {
 ///   has no crypto engine to glitch), but every bit that lands wrong in
 ///   plaintext **corrupts** the output.
 #[must_use]
-pub fn expected_resilience(scheme: Scheme, kind: FaultKind) -> Resilience {
+fn expected_resilience(scheme: Scheme, kind: FaultKind) -> Resilience {
     match scheme {
         Scheme::Treeless | Scheme::TreeBased => match kind {
             FaultKind::StuckAtBit => Resilience::Detected,
@@ -287,29 +287,23 @@ pub fn run_cell(
 /// pool.
 #[must_use]
 pub fn matrix(models: &[&str]) -> Vec<FaultCell> {
-    let (cells, report) = matrix_with_threads(pool::threads(), models, &DEFAULT_PERIODS);
-    pool::record(report);
-    cells
+    pool::recorded(matrix_with_threads(
+        pool::threads(),
+        models,
+        &DEFAULT_PERIODS,
+        PASSES,
+    ))
 }
 
-/// [`matrix`] at an explicit pool width and period set, returning the
-/// timing report instead of recording it — the determinism-test hook.
+/// [`matrix`] at an explicit pool width, period set and pass count,
+/// returning the timing report instead of recording it — the
+/// determinism-test hook. The decode smoke gate uses [`QUICK_PASSES`]: the
+/// dynamic models stream megabytes of (software-)crypto per inference, so
+/// the full five-pass matrix is a multi-minute serial run — two passes
+/// still exercise the cross-inference churn and quarantine-and-continue
+/// paths.
 #[must_use]
 pub fn matrix_with_threads(
-    threads: usize,
-    models: &[&str],
-    periods: &[u64],
-) -> (Vec<FaultCell>, PoolReport) {
-    matrix_with_threads_at(threads, models, periods, PASSES)
-}
-
-/// [`matrix_with_threads`] at an explicit pass count. The decode smoke
-/// gate uses [`QUICK_PASSES`]: the dynamic models stream megabytes of
-/// (software-)crypto per inference, so the full five-pass matrix is a
-/// multi-minute serial run — two passes still exercise the
-/// cross-inference churn and quarantine-and-continue paths.
-#[must_use]
-pub fn matrix_with_threads_at(
     threads: usize,
     models: &[&str],
     periods: &[u64],
@@ -437,15 +431,15 @@ mod tests {
     fn matrix_is_identical_across_thread_counts() {
         // Same contract as the attack matrix: fault processes are seeded
         // from what is faulted, never from which worker ran it.
-        let (one, _) = matrix_with_threads(1, &["df"], &[101]);
-        let (two, _) = matrix_with_threads(4, &["df"], &[101]);
+        let (one, _) = matrix_with_threads(1, &["df"], &[101], PASSES);
+        let (two, _) = matrix_with_threads(4, &["df"], &[101], PASSES);
         assert_eq!(one, two);
         assert_eq!(render(&one), render(&two));
     }
 
     #[test]
     fn df_matrix_matches_the_fault_model() {
-        let (cells, _) = matrix_with_threads(4, &["df"], &[101]);
+        let (cells, _) = matrix_with_threads(4, &["df"], &[101], PASSES);
         for cell in &cells {
             assert_eq!(
                 cell.outcome, cell.expected,

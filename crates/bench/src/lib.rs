@@ -9,7 +9,7 @@
 //! row/series layout the paper plots. The [`decode`] module adds the
 //! dynamic-dataflow crossover sweep (sequence length × version limit ×
 //! scheme) behind the `decode` binary. The `experiments` binary drives
-//! the static set:
+//! the static set (every binary parses its command line with [`cli`]):
 //!
 //! ```text
 //! cargo run --release -p tnpu-bench --bin experiments -- all
@@ -20,6 +20,7 @@
 
 pub mod ablations;
 pub mod attacks;
+pub mod cli;
 pub mod decode;
 pub mod experiments;
 pub mod faults;

@@ -41,7 +41,7 @@ pub const QUICK_ATTACK_MODELS: [&str; 1] = ["df"];
 /// mid-priority attention model, and an occasional high-priority NCF —
 /// enough priority spread for the preemptive policy to matter.
 #[must_use]
-pub fn default_mix() -> TrafficMix {
+fn default_mix() -> TrafficMix {
     TrafficMix::new("mix", &[("df", 3, 0), ("sent", 2, 1), ("ncf", 1, 2)])
 }
 
@@ -60,9 +60,7 @@ pub fn arrivals() -> [ArrivalProcess; 2] {
 /// Run the serving grid (arrival × policy × scheme) on the session pool.
 #[must_use]
 pub fn serve(quick: bool) -> Vec<ServeReport> {
-    let (reports, report) = serve_with_threads(pool::threads(), quick);
-    pool::record(report);
-    reports
+    pool::recorded(serve_with_threads(pool::threads(), quick))
 }
 
 /// [`serve`] at an explicit pool width, returning the timing report
@@ -150,14 +148,12 @@ pub fn render_serve(reports: &[ServeReport]) -> String {
 /// on the session pool.
 #[must_use]
 pub fn attack_surfaces(models: &[&str]) -> Vec<(String, Surface, CellResult)> {
-    let (cells, report) = attack_surfaces_with_threads(pool::threads(), models);
-    pool::record(report);
-    cells
+    pool::recorded(attack_surfaces_with_threads(pool::threads(), models))
 }
 
 /// [`attack_surfaces`] at an explicit pool width.
 #[must_use]
-pub fn attack_surfaces_with_threads(
+fn attack_surfaces_with_threads(
     threads: usize,
     models: &[&str],
 ) -> (Vec<(String, Surface, CellResult)>, PoolReport) {

@@ -1,10 +1,10 @@
 //! Deterministic parallel runner for the experiment matrices.
 //!
 //! Every experiment in this crate is a list of independent cells
-//! ([`tnpu_core::RunSpec`]s or equivalent jobs). [`run_ordered`] executes
-//! such a list on a pool of scoped worker threads and returns the results
-//! **in input order**, so downstream aggregation sees exactly what a
-//! serial run would have produced:
+//! ([`tnpu_core::RunSpec`]s or equivalent jobs). [`run_ordered_with`]
+//! executes such a list on a pool of scoped worker threads and returns
+//! the results **in input order**, so downstream aggregation sees exactly
+//! what a serial run would have produced:
 //!
 //! * Workers pull jobs from a shared atomic cursor — scheduling order is
 //!   racy and irrelevant, because each job's output depends only on its
@@ -21,9 +21,9 @@
 //!
 //! Each pool run also produces a [`PoolReport`] with per-job wall times
 //! and the aggregate speedup; the harness collects them in a session
-//! registry ([`record`] / [`session_summary`]) and the binary prints the
-//! summary to **stderr** — timing is nondeterministic and must never
-//! touch the byte-stable stdout.
+//! registry ([`record`] / [`take_session`]) and
+//! [`crate::cli::Args::finish`] prints the summary to **stderr** — timing
+//! is nondeterministic and must never touch the byte-stable stdout.
 //!
 //! Timing caveat: a job's wall time includes any time its worker spends
 //! descheduled, so when the pool is oversubscribed (more threads than
@@ -45,7 +45,7 @@ pub fn set_threads(n: usize) -> bool {
     THREAD_OVERRIDE.set(n.max(1)).is_ok()
 }
 
-/// The pool width [`run_ordered`] uses: [`set_threads`] override, else
+/// The session pool width: [`set_threads`] override, else
 /// `TNPU_THREADS`, else the machine's available parallelism.
 #[must_use]
 pub fn threads() -> usize {
@@ -217,26 +217,17 @@ where
     )
 }
 
-/// [`run_ordered_with`] at the session pool width ([`threads`]), recording
-/// the timing report in the session registry for the end-of-run summary.
-#[must_use]
-pub fn run_ordered<T, R, L, F>(name: &str, jobs: &[T], label: L, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    L: Fn(&T) -> String,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, report) = run_ordered_with(threads(), name, jobs, label, f);
-    record(report);
-    results
-}
-
 static SESSION: Mutex<Vec<PoolReport>> = Mutex::new(Vec::new());
 
 /// Append a pool's timing report to the session registry.
 pub fn record(report: PoolReport) {
     SESSION.lock().expect("session registry").push(report);
+}
+
+/// [`record`] a pool run's timing report and return its results.
+pub fn recorded<R>((results, report): (R, PoolReport)) -> R {
+    record(report);
+    results
 }
 
 /// Drain the session registry.
@@ -274,12 +265,6 @@ pub fn summarize(pools: &[PoolReport]) -> Option<String> {
         serial.as_secs_f64() / wall.as_secs_f64().max(1e-9),
     );
     Some(out)
-}
-
-/// Drain the session registry and render it (see [`summarize`]).
-#[must_use]
-pub fn session_summary() -> Option<String> {
-    summarize(&take_session())
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes) —

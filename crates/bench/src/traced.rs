@@ -100,9 +100,7 @@ pub fn run_specs_with(
 /// See [`run_specs_with`].
 #[must_use]
 pub fn run_specs(experiment: &str, specs: &[RunSpec]) -> Vec<RunReport> {
-    let (results, report) = run_specs_with(pool::threads(), experiment, specs);
-    pool::record(report);
-    results
+    pool::recorded(run_specs_with(pool::threads(), experiment, specs))
 }
 
 #[cfg(test)]

@@ -146,7 +146,7 @@ impl CellResult {
 /// attack; encryption-only and unprotected memory silently corrupt, except
 /// where the attack has no surface at all.
 #[must_use]
-pub fn expected_outcome(scheme: Scheme, attack: AttackKind) -> Outcome {
+fn expected_outcome(scheme: Scheme, attack: AttackKind) -> Outcome {
     match scheme {
         Scheme::Treeless | Scheme::TreeBased => Outcome::Detected,
         Scheme::EncryptOnly | Scheme::Unsecure => match attack {
@@ -323,20 +323,12 @@ fn finish<M: tnpu_memprot::functional::FunctionalMemory>(
     }
 }
 
-/// Run one scheme × attack cell against a resident context: a clean first
-/// inference, an adversary observation, then a second inference with the
-/// attack injected right before the victim's consumer runs.
-#[must_use]
-pub fn run_cell(model: &Model, scheme: Scheme, attack: AttackKind) -> CellResult {
-    run_cell_on(model, scheme, attack, Surface::Resident)
-}
-
-/// Run one scheme × attack cell against the given context [`Surface`].
-///
-/// The [`Surface::Resident`] path is byte-identical to the original
-/// [`run_cell`] (same seed labels, same victim picks); the other surfaces
-/// derive their own injection points but share the expectation tables —
-/// the paper's claims do not weaken off the happy path.
+/// Run one scheme × attack cell against the given context [`Surface`]. On
+/// a [`Surface::Resident`] context: a clean first inference, an adversary
+/// observation, then a second inference with the attack injected right
+/// before the victim's consumer runs. The other surfaces derive their own
+/// injection points but share the expectation tables — the paper's claims
+/// do not weaken off the happy path.
 #[must_use]
 pub fn run_cell_on(
     model: &Model,
@@ -462,24 +454,6 @@ pub fn run_cell_on(
     }
 }
 
-/// The full scheme × attack matrix for one model, in presentation order.
-#[must_use]
-pub fn run_matrix(model: &Model) -> Vec<CellResult> {
-    run_matrix_on(model, Surface::Resident)
-}
-
-/// The full scheme × attack matrix for one model on one context surface.
-#[must_use]
-pub fn run_matrix_on(model: &Model, surface: Surface) -> Vec<CellResult> {
-    let mut out = Vec::with_capacity(Scheme::ALL.len() * AttackKind::ALL.len());
-    for scheme in Scheme::ALL {
-        for attack in AttackKind::ALL {
-            out.push(run_cell_on(model, scheme, attack, surface));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +472,21 @@ mod tests {
             .embedding("emb", 64, 16, 4)
             .fc("fc", 8)
             .build()
+    }
+
+    /// The full scheme × attack matrix for one model on one context surface.
+    fn run_matrix_on(model: &Model, surface: Surface) -> Vec<CellResult> {
+        let mut out = Vec::with_capacity(Scheme::ALL.len() * AttackKind::ALL.len());
+        for scheme in Scheme::ALL {
+            for attack in AttackKind::ALL {
+                out.push(run_cell_on(model, scheme, attack, surface));
+            }
+        }
+        out
+    }
+
+    fn run_matrix(model: &Model) -> Vec<CellResult> {
+        run_matrix_on(model, Surface::Resident)
     }
 
     #[test]
@@ -551,21 +540,6 @@ mod tests {
                     cell.scheme,
                     cell.attack,
                     cell.cause
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn resident_surface_is_the_original_cell() {
-        // `run_cell` must stay byte-for-byte the resident path — the
-        // frozen bench matrix depends on it.
-        let model = tiny();
-        for scheme in Scheme::ALL {
-            for attack in AttackKind::ALL {
-                assert_eq!(
-                    run_cell(&model, scheme, attack),
-                    run_cell_on(&model, scheme, attack, Surface::Resident),
                 );
             }
         }

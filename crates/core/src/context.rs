@@ -38,7 +38,7 @@ pub struct NpuContext {
 impl NpuContext {
     /// The context's OS-controlled page table — the attack hook (the OS
     /// may rewrite it at any time).
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
+    fn page_table_mut(&mut self) -> &mut PageTable {
         &mut self.page_table
     }
 }
@@ -250,7 +250,7 @@ impl SecureNpuSession {
     /// # Panics
     ///
     /// Panics if `npu` is not an index into the session's NPU pool.
-    pub fn flush_iommu(&mut self, npu: usize) {
+    fn flush_iommu(&mut self, npu: usize) {
         // tnpu-lint: allow(panic-path) — documented contract above: `npu`
         // must index the pool; an out-of-range shoot-down is caller error.
         self.iommus[npu].flush_tlb();

@@ -121,7 +121,7 @@ impl CpuTensorAccess {
     /// # Errors
     ///
     /// [`TsError::OffsetOutOfRange`] past the buffer.
-    pub fn ts_write_byte(&mut self, offset: usize, value: u8) -> Result<(), TsError> {
+    fn ts_write_byte(&mut self, offset: usize, value: u8) -> Result<(), TsError> {
         *self
             .write_buf
             .get_mut(offset)
@@ -159,38 +159,6 @@ impl CpuTensorAccess {
             }
             self.ts_write_block(mem, base.offset((i * BLOCK_SIZE) as u64), version);
         }
-    }
-
-    /// Convenience: read `len` bytes back from the protected region.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::Integrity`] if any block fails verification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is not block-aligned.
-    pub fn read_tensor(
-        &mut self,
-        mem: &dyn FunctionalMemory,
-        base: Addr,
-        version: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, TsError> {
-        assert_eq!(base.block_offset(), 0, "tensor base must be block aligned");
-        let mut out = Vec::with_capacity(len);
-        let mut remaining = len;
-        let mut block = 0u64;
-        while remaining > 0 {
-            self.ts_read_block(mem, base.offset(block * BLOCK_SIZE as u64), version)?;
-            let take = remaining.min(BLOCK_SIZE);
-            for off in 0..take {
-                out.push(self.ts_read_byte(off)?);
-            }
-            remaining -= take;
-            block += 1;
-        }
-        Ok(out)
     }
 }
 
@@ -239,18 +207,6 @@ mod tests {
         cpu.write_tensor(&mut m, Addr(0), 1, &[7u8; 64]);
         assert!(cpu.ts_read_block(&m, Addr(0), 2).is_err());
         assert_eq!(cpu.ts_read_byte(0), Err(TsError::ReadBufferEmpty));
-    }
-
-    #[test]
-    fn tensor_streaming_roundtrip() {
-        let mut m = mem();
-        let mut cpu = CpuTensorAccess::new();
-        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-        cpu.write_tensor(&mut m, Addr(4096), 3, &data);
-        let back = cpu
-            .read_tensor(&m, Addr(4096), 3, data.len())
-            .expect("verifies");
-        assert_eq!(back, data);
     }
 
     #[test]

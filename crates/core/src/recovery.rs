@@ -58,7 +58,7 @@ impl RetryPolicy {
     /// Backoff charged before retry number `attempt` (0-based):
     /// `base * factor^attempt`, saturating.
     #[must_use]
-    pub fn backoff_cycles(&self, attempt: u32) -> u64 {
+    fn backoff_cycles(&self, attempt: u32) -> u64 {
         let mut cycles = self.backoff_base;
         for _ in 0..attempt {
             cycles = cycles.saturating_mul(self.backoff_factor);

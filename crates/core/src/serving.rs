@@ -20,7 +20,8 @@
 //!   [`SecureRunner`](crate::secure_runner::SecureRunner) refuses to
 //!   expose).
 //! * **Context-switch accounting** — suspending a secure context is not
-//!   free. A switch-out saves the software [`VersionTable`] (one
+//!   free. A switch-out saves the software
+//!   [`VersionTable`](crate::VersionTable) (one
 //!   [`version_access`](tnpu_memprot::ProtectionEngine::version_access)
 //!   per entry for the treeless scheme — the table lives in the
 //!   fully-protected region), flushes the engine's dirty metadata
@@ -55,7 +56,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::secure_runner::{SecureRunner, Static};
 use crate::session::{registered_tensors, Snapshot};
 use crate::version::ENTRY_BYTES;
-use crate::{RunSpec, Scheme, VersionTable};
+use crate::{RunSpec, Scheme};
 use tnpu_crypto::Key128;
 use tnpu_memprot::functional::{build_functional, FunctionalMemory, UnsecureMemory};
 use tnpu_memprot::{build_engine, AccessCost, ProtectionConfig, ProtectionEngine};
@@ -251,7 +252,7 @@ impl ServeSpec {
     /// are deliberately excluded so every scheme × policy cell of one
     /// serving group replays the identical request stream.
     #[must_use]
-    pub fn stream_seed(&self) -> u64 {
+    fn stream_seed(&self) -> u64 {
         SplitMix64::seed_from_labels(&[
             "serve",
             &self.experiment,
@@ -839,29 +840,6 @@ pub fn simulate(spec: &ServeSpec) -> ServeReport {
     }
 }
 
-/// The version-table bytes a context switch of `model` must spill under
-/// the treeless scheme — exposed for the bench tables.
-///
-/// # Panics
-///
-/// Panics if the model is not registered.
-#[must_use]
-pub fn spill_bytes(model: &str) -> u64 {
-    let m = registry::model(model).unwrap_or_else(|| panic!("model {model:?} not registered"));
-    let layout = ModelLayout::allocate(&m, Addr(0));
-    let mut tensors = 1 + layout.outputs.len() as u64;
-    for (li, w) in layout.weights.iter().enumerate() {
-        if w.is_some() && m.layers[li].weights_shared_with.is_none() {
-            tensors += 1;
-        }
-    }
-    tensors * ENTRY_BYTES
-}
-
-// Referenced by the module docs.
-#[allow(unused_imports)]
-use VersionTable as _DocOnly;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,13 +1066,5 @@ mod tests {
         assert!(rf.preemptions > 0, "the comparison needs live snapshots");
         assert_eq!(rf.switch_cycles, rm.switch_cycles);
         assert_eq!(rf.switch_meta_bytes, rm.switch_meta_bytes);
-    }
-
-    #[test]
-    fn spill_bytes_counts_registered_tensors() {
-        // ncf: input + per-layer outputs + non-shared weights, 8 B each.
-        let bytes = spill_bytes("ncf");
-        assert!(bytes >= 3 * ENTRY_BYTES, "got {bytes}");
-        assert_eq!(bytes % ENTRY_BYTES, 0);
     }
 }

@@ -399,12 +399,6 @@ impl<M: FunctionalMemory> Session<M, Stepped> {
         self.program.kind
     }
 
-    /// Steps taken so far.
-    #[must_use]
-    pub fn steps_taken(&self) -> u64 {
-        self.program.step
-    }
-
     /// Steps the session can absorb: the KV capacity for decode
     /// (`u64::MAX` for train).
     #[must_use]
@@ -565,7 +559,7 @@ mod tests {
         ));
         assert!(s.is_poisoned());
         s.recover().expect("recover lifts the quarantine");
-        let steps_before = s.steps_taken();
+        let steps_before = s.program.step;
         let t = s.step().expect("the quarantined step retries");
         assert_eq!(t.step, steps_before);
     }

@@ -4,9 +4,9 @@
 use crate::endtoend::{run_end_to_end, EndToEndReport};
 use crate::secure_runner::{RunError, SecureRunner};
 use tnpu_crypto::Key128;
-use tnpu_memprot::SchemeKind;
+use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
 use tnpu_models::Model;
-use tnpu_npu::{NpuConfig, RunReport};
+use tnpu_npu::{NpuConfig, RunReport, TileTrace, DEFAULT_BASE_SEED};
 use tnpu_sim::Cycles;
 
 /// Error returned by [`TnpuSystem`] entry points.
@@ -113,8 +113,10 @@ impl TnpuSystem {
         count: usize,
     ) -> Result<Vec<SystemReport>, SystemError> {
         model.validate().map_err(SystemError::InvalidModel)?;
+        let engine = build_engine(self.scheme, &ProtectionConfig::paper_default());
         Ok(
-            tnpu_npu::simulate_multi(model, &self.npu, self.scheme, count)
+            TileTrace::build_replicated(model, &self.npu, count, DEFAULT_BASE_SEED)
+                .replay(engine, &self.npu, count)
                 .into_iter()
                 .map(|npu| SystemReport {
                     total_time: npu.total,

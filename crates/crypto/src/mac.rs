@@ -16,14 +16,6 @@ use crate::hmac::HmacSha256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MacTag(pub [u8; 8]);
 
-impl MacTag {
-    /// The tag as a `u64` (little-endian), for compact storage.
-    #[must_use]
-    pub fn as_u64(self) -> u64 {
-        u64::from_le_bytes(self.0)
-    }
-}
-
 /// Computes and verifies per-block MACs under a fixed key.
 ///
 /// The keyed HMAC context (its ipad/opad midstates) is built once here and
@@ -145,12 +137,6 @@ mod tests {
             let full = crate::hmac::hmac_sha256(&key.0, &msg);
             assert_eq!(m.tag(addr, version, &data).0, full[..8]);
         }
-    }
-
-    #[test]
-    fn tag_as_u64_roundtrip() {
-        let t = MacTag([1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(t.as_u64().to_le_bytes(), t.0);
     }
 
     #[test]

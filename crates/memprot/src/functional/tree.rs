@@ -318,7 +318,7 @@ impl CounterTreeMemory {
 
     /// Effective counter of a data block, if its counter block exists.
     #[must_use]
-    pub fn counter_of(&self, addr: Addr) -> Option<u64> {
+    fn counter_of(&self, addr: Addr) -> Option<u64> {
         let block = addr.block().0;
         let cb = self.counter_block_of(block);
         let slot = (block % self.counters_per_block) as usize;

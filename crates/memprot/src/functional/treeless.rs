@@ -155,7 +155,7 @@ impl TreelessMemory {
 
     /// Overwrite the stored MAC of a block — attack hook (the MAC region is
     /// ordinary untrusted DRAM).
-    pub fn set_mac(&mut self, addr: Addr, tag: MacTag) {
+    fn set_mac(&mut self, addr: Addr, tag: MacTag) {
         self.macs.insert(addr.block().0, tag);
     }
 

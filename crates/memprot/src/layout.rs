@@ -115,19 +115,6 @@ impl Layout {
     pub fn contains_block(&self, block: BlockAddr) -> bool {
         block.0 < self.data_blocks()
     }
-
-    /// Bytes of MAC storage required for the covered region (8 B per block).
-    #[must_use]
-    pub fn mac_storage_bytes(&self) -> u64 {
-        self.data_blocks() * 8
-    }
-
-    /// Bytes of counter storage required (one 64 B block per
-    /// `counters_per_block` data blocks).
-    #[must_use]
-    pub fn counter_storage_bytes(&self) -> u64 {
-        self.counter_blocks() * BLOCK_SIZE as u64
-    }
 }
 
 #[cfg(test)]
@@ -143,10 +130,6 @@ mod tests {
         let l = layout();
         assert_eq!(l.data_blocks(), (4u64 << 30) / 64);
         assert_eq!(l.counter_blocks(), l.data_blocks() / 64);
-        // MAC region = 1/8 of DRAM.
-        assert_eq!(l.mac_storage_bytes(), (4u64 << 30) / 8);
-        // Counter storage = 1/64 of DRAM.
-        assert_eq!(l.counter_storage_bytes(), (4u64 << 30) / 64);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl TreeGeometry {
     /// Panics if `counter_blocks` is zero, `arities` is empty, or any
     /// arity is below 2.
     #[must_use]
-    pub fn with_arities(counter_blocks: u64, arities: &[u64]) -> Self {
+    fn with_arities(counter_blocks: u64, arities: &[u64]) -> Self {
         assert!(counter_blocks > 0, "tree must cover at least one block");
         assert!(!arities.is_empty(), "need at least one arity");
         assert!(arities.iter().all(|&a| a >= 2), "arity must be at least 2");
@@ -119,16 +119,6 @@ impl TreeGeometry {
     pub fn walk(&self, counter_index: u64) -> impl Iterator<Item = (u32, u64)> + '_ {
         (1..self.root_level()).map(move |level| (level, self.ancestor(counter_index, level)))
     }
-
-    /// Total tree-node storage (levels 1..root, 64 B each), in bytes. The
-    /// root lives on-chip and is excluded.
-    #[must_use]
-    pub fn node_storage_bytes(&self) -> u64 {
-        self.levels[1..self.levels.len() - 1]
-            .iter()
-            .sum::<u64>()
-            .saturating_mul(64)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +170,6 @@ mod tests {
         let g = TreeGeometry::new(1, 64);
         assert_eq!(g.depth(), 2);
         assert_eq!(g.walk(0).count(), 0, "no in-memory tree nodes");
-        assert_eq!(g.node_storage_bytes(), 0);
     }
 
     #[test]
@@ -210,12 +199,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn storage_accounting() {
-        let g = TreeGeometry::new(1 << 20, 64);
-        // Levels 1..3: 16Ki + 256 + 4 nodes of 64 B.
-        assert_eq!(g.node_storage_bytes(), ((1 << 14) + 256 + 4) * 64);
     }
 }

@@ -67,12 +67,6 @@ impl NpuConfig {
     pub fn pes(&self) -> u64 {
         self.rows * self.cols
     }
-
-    /// Usable tile bytes under double buffering (half the SPM).
-    #[must_use]
-    pub fn tile_budget_bytes(&self) -> u64 {
-        self.spm_bytes / 2
-    }
 }
 
 #[cfg(test)]
@@ -93,10 +87,5 @@ mod tests {
         assert_eq!(c.pes(), 2025);
         assert_eq!(c.spm_bytes, 1 << 20);
         assert!((c.bandwidth.as_f64() - 22.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tile_budget_is_half_spm() {
-        assert_eq!(NpuConfig::small_npu().tile_budget_bytes(), 240 * 1024);
     }
 }

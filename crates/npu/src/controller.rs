@@ -70,7 +70,7 @@ impl std::fmt::Debug for MemoryController {
 /// back into the tensor entry when the layer completes, so only the
 /// currently-produced tensor is ever expanded.
 #[must_use]
-pub fn vtable_addr(tensor_id: u32, tile_id: u32, write: bool) -> Addr {
+fn vtable_addr(tensor_id: u32, tile_id: u32, write: bool) -> Addr {
     /// Start of the tile-expansion scratch area.
     const EXPANDED_BASE: u64 = 64 << 10;
     if write {

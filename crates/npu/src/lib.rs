@@ -29,9 +29,9 @@
 //!   [`tnpu_memprot::ProtectionEngine`] per 64 B block.
 //! * [`machine`] — one NPU's double-buffered execution state machine.
 //! * [`trace`] — scheme-independent tile traces, lowered once per
-//!   (models, NPU config, seed) and replayed against many engines.
-//! * [`multi`] — N NPUs sharing the controller and security engine
-//!   (the paper's scalability study, §V-C).
+//!   (models, NPU config, seed) and replayed against many engines; one
+//!   trace covers N NPUs sharing the controller and security engine (the
+//!   paper's scalability study, §V-C).
 //! * [`report`] — run reports (cycles, traffic, engine statistics).
 
 pub mod alloc;
@@ -39,7 +39,6 @@ pub mod config;
 pub mod controller;
 pub mod dma;
 pub mod machine;
-pub mod multi;
 pub mod report;
 pub mod systolic;
 pub mod tiler;
@@ -47,14 +46,14 @@ pub mod trace;
 
 pub use config::NpuConfig;
 pub use report::RunReport;
-pub use trace::TileTrace;
+pub use trace::{TileTrace, DEFAULT_BASE_SEED};
 
 use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
 use tnpu_models::Model;
 
-/// Simulate one inference of `model` on a single NPU under `scheme`.
-///
-/// Convenience wrapper over the full pipeline (allocate → tile → run).
+/// Simulate one inference of `model` on a single NPU under `scheme`: the
+/// model is lowered into a [`TileTrace`] and replayed against a fresh
+/// paper-default engine.
 ///
 /// # Examples
 ///
@@ -69,85 +68,17 @@ use tnpu_models::Model;
 /// ```
 #[must_use]
 pub fn simulate(model: &Model, npu: &NpuConfig, scheme: SchemeKind) -> RunReport {
-    simulate_multi(model, npu, scheme, 1)
+    let engine = build_engine(scheme, &ProtectionConfig::paper_default());
+    TileTrace::build(&[model], npu, DEFAULT_BASE_SEED)
+        .replay(engine, npu, 1)
         .into_iter()
         .next()
         .expect("one NPU yields one report")
 }
 
-/// Simulate `count` NPUs each running one inference of `model`, sharing the
-/// memory controller and one security engine (§V-C). Returns one report per
-/// NPU.
-///
-/// # Panics
-///
-/// Panics if `count` is zero.
-#[must_use]
-pub fn simulate_multi(
-    model: &Model,
-    npu: &NpuConfig,
-    scheme: SchemeKind,
-    count: usize,
-) -> Vec<RunReport> {
-    let engine = build_engine(scheme, &ProtectionConfig::paper_default());
-    multi::run_shared(model, npu, engine, count)
-}
-
-/// Simulate two back-to-back inferences of `model` on one NPU and return
-/// `(cold_report, warm_cycles)`: the first inference runs with cold
-/// metadata caches; `warm_cycles` is the duration of the second, which
-/// reuses whatever counter/MAC state survived — the steady state of an NPU
-/// context serving a request stream (§V-D notes contexts commonly process
-/// many requests per loaded model).
-#[must_use]
-pub fn simulate_cold_warm(
-    model: &Model,
-    npu: &NpuConfig,
-    scheme: SchemeKind,
-) -> (RunReport, tnpu_sim::Cycles) {
-    use crate::alloc::ModelLayout;
-    use crate::controller::MemoryController;
-    use crate::machine::NpuMachine;
-
-    let protection = ProtectionConfig::paper_default();
-    let engine = build_engine(scheme, &protection);
-    let mut ctl = MemoryController::new(engine, npu);
-    let layout = ModelLayout::allocate(model, tnpu_sim::Addr(0));
-    let plan = tiler::plan(model, npu, &layout, 0xC01D);
-    let mut first = NpuMachine::new(plan.clone());
-    while !first.is_done() {
-        first.serve_next(&mut ctl);
-    }
-    let cold = first.into_report(&ctl);
-    let mut second = NpuMachine::new(plan);
-    while !second.is_done() {
-        second.serve_next(&mut ctl);
-    }
-    let warm_finish = second.into_report(&ctl).total;
-    (cold.clone(), warm_finish.saturating_sub(cold.total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn warm_runs_are_never_meaningfully_slower() {
-        // df's working set exceeds the metadata caches, so warm ~= cold;
-        // the warm run must never be more than noise slower (residual
-        // cache state costs nothing).
-        let model = tnpu_models::registry::model("df").expect("registered");
-        let cfg = NpuConfig::small_npu();
-        for scheme in [SchemeKind::TreeBased, SchemeKind::Treeless] {
-            let (cold, warm) = simulate_cold_warm(&model, &cfg, scheme);
-            assert!(warm.0 > 0);
-            assert!(
-                warm.as_f64() <= cold.total.as_f64() * 1.01,
-                "{scheme}: warm {warm} vs cold {}",
-                cold.total
-            );
-        }
-    }
 
     #[test]
     fn schemes_order_sanely_on_a_small_model() {

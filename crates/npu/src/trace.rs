@@ -20,19 +20,37 @@
 //!   granularity only affect the engine, so ablation variants share one
 //!   trace too.
 //!
+//! A trace holds one plan per NPU, each in its own address range, and
+//! [`replay`] runs them over one shared memory controller and security
+//! engine (the paper's scalability study, §V-C): at every step the machine
+//! whose next transfer arrives earliest is served, so metadata-cache
+//! interference between NPUs emerges from genuinely interleaved block
+//! streams. [`build_replicated`] is the paper's setup ("the same inference
+//! models are running in each NPU"); [`build`] also takes heterogeneous
+//! tenants.
+//!
 //! [`replay`]: TileTrace::replay
+//! [`build`]: TileTrace::build
+//! [`build_replicated`]: TileTrace::build_replicated
 
 use crate::alloc::ModelLayout;
 use crate::config::NpuConfig;
 use crate::controller::MemoryController;
 use crate::machine::NpuMachine;
-use crate::multi::NPU_REGION_STRIDE;
 use crate::report::RunReport;
 use crate::tiler::{self, ModelPlan};
 use tnpu_memprot::ProtectionEngine;
 use tnpu_models::Model;
 use tnpu_sim::rng::SplitMix64;
 use tnpu_sim::Addr;
+
+/// Address-space stride between NPU contexts (512 MB each).
+pub const NPU_REGION_STRIDE: u64 = 512 << 20;
+
+/// Base seed of the default (unseeded) entry points. Every workload RNG in
+/// the simulator ultimately derives from an explicit seed so runs are
+/// bit-reproducible; this is the one used when the caller does not care.
+pub const DEFAULT_BASE_SEED: u64 = 0xC0FFEE;
 
 /// The scheme-independent part of a multi-NPU simulation: one lowered
 /// [`ModelPlan`] per NPU, in NPU-index order.
@@ -43,8 +61,8 @@ pub struct TileTrace {
 
 impl TileTrace {
     /// Lower one NPU per entry of `models` (heterogeneous tenancy), with
-    /// per-NPU seeds split from `base_seed` by NPU index — bit-identical
-    /// to what [`crate::multi::run_shared_mixed_seeded`] lowers.
+    /// per-NPU seeds split from `base_seed` by NPU index — never by host
+    /// thread, so a run's results depend only on its inputs.
     ///
     /// # Panics
     ///
@@ -214,7 +232,6 @@ impl TileTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi;
     use tnpu_memprot::{build_engine, ProtectionConfig, SchemeKind};
 
     fn model(name: &str) -> Model {
@@ -225,31 +242,97 @@ mod tests {
         build_engine(scheme, &ProtectionConfig::paper_default())
     }
 
-    #[test]
-    fn replay_matches_direct_run_for_every_scheme() {
-        let m = model("df");
+    fn run(name: &str, scheme: SchemeKind, count: usize) -> Vec<RunReport> {
         let npu = NpuConfig::small_npu();
-        let trace = TileTrace::build_replicated(&m, &npu, 2, 0xBEEF);
-        for scheme in SchemeKind::ALL {
-            let replayed = trace.replay(engine(scheme), &npu, 2);
-            let direct = multi::run_shared_seeded(&m, &npu, engine(scheme), 2, 0xBEEF);
-            assert_eq!(replayed, direct, "{scheme}");
-        }
+        TileTrace::build_replicated(&model(name), &npu, count, DEFAULT_BASE_SEED).replay(
+            engine(scheme),
+            &npu,
+            count,
+        )
+    }
+
+    fn slowest(reports: &[RunReport]) -> u64 {
+        reports.iter().map(|r| r.total.0).max().expect("non-empty")
     }
 
     #[test]
-    fn prefix_replay_matches_smaller_direct_run() {
+    fn prefix_replay_matches_smaller_build() {
         // A trace built for 3 NPUs replays 1- and 2-NPU runs exactly:
         // plans depend on the NPU's own index, never on the count.
         let m = model("df");
         let npu = NpuConfig::small_npu();
         let trace = TileTrace::build_replicated(&m, &npu, 3, 0xBEEF);
-        for count in 1..=3usize {
+        for count in 1..=2usize {
             let replayed = trace.replay(engine(SchemeKind::Treeless), &npu, count);
-            let direct =
-                multi::run_shared_seeded(&m, &npu, engine(SchemeKind::Treeless), count, 0xBEEF);
-            assert_eq!(replayed, direct, "count {count}");
+            let small = TileTrace::build_replicated(&m, &npu, count, 0xBEEF).replay(
+                engine(SchemeKind::Treeless),
+                &npu,
+                count,
+            );
+            assert_eq!(replayed, small, "count {count}");
         }
+    }
+
+    #[test]
+    fn more_npus_take_longer_wall_clock() {
+        // Shared bandwidth: three NPUs contend, so the slowest of three
+        // must exceed a lone NPU.
+        let one = run("df", SchemeKind::Unsecure, 1);
+        assert_eq!(one.len(), 1);
+        let three = slowest(&run("df", SchemeKind::Unsecure, 3));
+        assert!(three > slowest(&one), "one {one:?}, three {three}");
+    }
+
+    #[test]
+    fn interference_hurts_tree_more_than_treeless() {
+        // The paper's headline scalability claim (§V-C): the baseline's
+        // metadata caches thrash as NPUs multiply, so its relative
+        // slowdown grows faster than TNPU's.
+        let u1 = slowest(&run("df", SchemeKind::Unsecure, 1)) as f64;
+        let u3 = slowest(&run("df", SchemeKind::Unsecure, 3)) as f64;
+        let t1 = slowest(&run("df", SchemeKind::TreeBased, 1)) as f64;
+        let t3 = slowest(&run("df", SchemeKind::TreeBased, 3)) as f64;
+        let l3 = slowest(&run("df", SchemeKind::Treeless, 3)) as f64;
+        let tree_overhead_1 = t1 / u1;
+        let tree_overhead_3 = t3 / u3;
+        let tnpu_overhead_3 = l3 / u3;
+        assert!(
+            tnpu_overhead_3 <= tree_overhead_3,
+            "tnpu {tnpu_overhead_3:.3} vs tree {tree_overhead_3:.3} at 3 NPUs"
+        );
+        // Baseline overhead should not shrink with more NPUs.
+        assert!(
+            tree_overhead_3 >= 0.95 * tree_overhead_1,
+            "tree overhead fell: {tree_overhead_1:.3} -> {tree_overhead_3:.3}"
+        );
+    }
+
+    #[test]
+    fn mixed_tenancy_interferes_both_ways() {
+        // A gather-heavy tenant (ncf) sharing the engine with a conv
+        // tenant (df) slows both down relative to running alone, and the
+        // gather tenant pollutes the counter cache the conv tenant needs.
+        let npu = NpuConfig::small_npu();
+        let (df, ncf) = (model("df"), model("ncf"));
+        let df_alone = run("df", SchemeKind::TreeBased, 1)[0].total.0;
+        let mixed = TileTrace::build(&[&df, &ncf], &npu, DEFAULT_BASE_SEED).replay(
+            engine(SchemeKind::TreeBased),
+            &npu,
+            2,
+        );
+        assert_eq!(mixed.len(), 2);
+        assert!(
+            mixed[0].total.0 > df_alone,
+            "sharing must slow df: {} vs {}",
+            mixed[0].total.0,
+            df_alone
+        );
+    }
+
+    #[test]
+    fn npus_use_disjoint_address_ranges() {
+        let layout = ModelLayout::allocate(&model("res"), Addr(0));
+        assert!(layout.total_bytes <= NPU_REGION_STRIDE);
     }
 
     #[test]

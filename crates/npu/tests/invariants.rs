@@ -8,7 +8,7 @@ use tnpu_npu::alloc::ModelLayout;
 use tnpu_npu::controller::MemoryController;
 use tnpu_npu::machine::NpuMachine;
 use tnpu_npu::tiler::{self, choose_tiles};
-use tnpu_npu::NpuConfig;
+use tnpu_npu::{NpuConfig, TileTrace, DEFAULT_BASE_SEED};
 use tnpu_sim::Addr;
 
 proptest! {
@@ -122,6 +122,17 @@ fn layer_barrier_orders_finishes() {
     assert!(finishes[1] < finishes[2]);
 }
 
+/// `count` NPUs each inferring `model` once over one shared engine.
+fn replicated(
+    model: &tnpu_models::Model,
+    npu: &NpuConfig,
+    scheme: SchemeKind,
+    count: usize,
+) -> Vec<tnpu_npu::RunReport> {
+    let engine = build_engine(scheme, &ProtectionConfig::paper_default());
+    TileTrace::build_replicated(model, npu, count, DEFAULT_BASE_SEED).replay(engine, npu, count)
+}
+
 /// Multi-NPU determinism: the same configuration always produces the same
 /// cycle counts.
 #[test]
@@ -129,7 +140,7 @@ fn multi_npu_is_deterministic() {
     let model = tnpu_models::registry::model("df").expect("registered");
     let npu = NpuConfig::small_npu();
     let run = |_: u32| {
-        tnpu_npu::simulate_multi(&model, &npu, SchemeKind::TreeBased, 2)
+        replicated(&model, &npu, SchemeKind::TreeBased, 2)
             .iter()
             .map(|r| r.total.0)
             .collect::<Vec<_>>()
@@ -143,7 +154,7 @@ fn multi_npu_is_deterministic() {
 fn multi_npu_fairness() {
     let model = tnpu_models::registry::model("df").expect("registered");
     let npu = NpuConfig::small_npu();
-    let totals: Vec<u64> = tnpu_npu::simulate_multi(&model, &npu, SchemeKind::Treeless, 3)
+    let totals: Vec<u64> = replicated(&model, &npu, SchemeKind::Treeless, 3)
         .iter()
         .map(|r| r.total.0)
         .collect();

@@ -30,17 +30,6 @@ impl BandwidthModel {
         BandwidthModel { num, den }
     }
 
-    /// Derive bytes-per-cycle from GB/s and GHz (both in integer *tenths*, so
-    /// `from_gbps_ghz_tenths(110, 27_5)` is 11 GB/s at 2.75 GHz).
-    ///
-    /// Prefer [`BandwidthModel::bytes_per_cycle`] when the ratio is already
-    /// known exactly.
-    #[must_use]
-    pub fn from_gbps_ghz_tenths(gbps_tenths: u64, ghz_hundredths: u64) -> Self {
-        // (gbps/10) GB/s / (ghz/100) GHz = gbps*10/ghz bytes/cycle
-        Self::bytes_per_cycle(gbps_tenths * 10, ghz_hundredths)
-    }
-
     /// Cycles to transfer `bytes` at full bandwidth (rounded up).
     #[must_use]
     pub fn transfer_time(&self, bytes: u64) -> Cycles {
@@ -107,23 +96,6 @@ impl Default for DramTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_npu_bandwidth_is_4_bytes_per_cycle() {
-        // 11 GB/s at 2.75 GHz.
-        let bw = BandwidthModel::from_gbps_ghz_tenths(110, 275);
-        assert!((bw.as_f64() - 4.0).abs() < 1e-12);
-        assert_eq!(bw.transfer_time(64), Cycles(16));
-    }
-
-    #[test]
-    fn large_npu_bandwidth_is_22_bytes_per_cycle() {
-        // 22 GB/s at 1 GHz.
-        let bw = BandwidthModel::from_gbps_ghz_tenths(220, 100);
-        assert!((bw.as_f64() - 22.0).abs() < 1e-12);
-        assert_eq!(bw.transfer_time(22), Cycles(1));
-        assert_eq!(bw.transfer_time(23), Cycles(2));
-    }
 
     #[test]
     fn transfer_time_rounds_up() {

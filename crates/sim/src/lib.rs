@@ -53,12 +53,6 @@ impl Addr {
         BlockAddr(self.0 / BLOCK_SIZE as u64)
     }
 
-    /// Align the address down to its block base.
-    #[must_use]
-    pub fn block_base(self) -> Addr {
-        Addr(self.0 & !(BLOCK_SIZE as u64 - 1))
-    }
-
     /// Offset of this address within its block.
     #[must_use]
     pub fn block_offset(self) -> usize {
@@ -185,7 +179,6 @@ mod tests {
     fn addr_block_roundtrip() {
         let a = Addr(0x1234);
         assert_eq!(a.block().0, 0x1234 / 64);
-        assert_eq!(a.block_base().0, 0x1200 & !63);
         assert_eq!(a.block_offset(), 0x1234 % 64);
         assert_eq!(a.block().base().block(), a.block());
     }

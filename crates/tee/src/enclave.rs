@@ -8,7 +8,7 @@
 
 use crate::epcm::Eepcm;
 use crate::pagetable::PageTable;
-use crate::{EnclaveId, Perms, Ppn, Vpn, PAGE_SIZE};
+use crate::{EnclaveId, Perms, Ppn, Vpn};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use tnpu_crypto::sha256::Sha256;
@@ -42,14 +42,6 @@ impl Enclave {
     #[must_use]
     pub fn pages(&self) -> &[(Vpn, Ppn, RegionKind)] {
         &self.pages
-    }
-
-    /// Whether `vpn` falls inside the NPU context's protected range.
-    #[must_use]
-    pub fn in_nelrange(&self, vpn: Vpn) -> bool {
-        self.nelrange
-            .as_ref()
-            .is_some_and(|r| r.contains(&(vpn.0 * PAGE_SIZE)))
     }
 
     /// SGX-style measurement: a running hash over (vpn, content) of every
@@ -293,15 +285,6 @@ mod tests {
         )
         .expect("add");
         assert_ne!(m1, mgr3.get(id3).expect("exists").measure(), "vpn matters");
-    }
-
-    #[test]
-    fn nelrange_membership() {
-        let (mut mgr, _, _, id) = setup();
-        mgr.set_nelrange(id, 0x10000..0x20000).expect("set");
-        let e = mgr.get(id).expect("exists");
-        assert!(e.in_nelrange(Vpn(0x10000 / PAGE_SIZE)));
-        assert!(!e.in_nelrange(Vpn(0x20000 / PAGE_SIZE)));
     }
 
     #[test]

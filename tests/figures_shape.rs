@@ -3,8 +3,9 @@
 //! come from `experiments -- all`.
 
 use tnpu::memprot::SchemeKind;
+use tnpu::memprot::{build_engine, ProtectionConfig};
 use tnpu::models::registry;
-use tnpu::npu::{simulate, simulate_multi, NpuConfig};
+use tnpu::npu::{simulate, NpuConfig, TileTrace, DEFAULT_BASE_SEED};
 
 fn normalized(model: &str, cfg: &NpuConfig, scheme: SchemeKind) -> f64 {
     let m = registry::model(model).expect("registered");
@@ -93,7 +94,9 @@ fn fig16_gap_grows_with_npu_count() {
     let small = NpuConfig::small_npu();
     let m = registry::model("ncf").expect("registered");
     let slowest = |scheme, n| {
-        simulate_multi(&m, &small, scheme, n)
+        let engine = build_engine(scheme, &ProtectionConfig::paper_default());
+        TileTrace::build_replicated(&m, &small, n, DEFAULT_BASE_SEED)
+            .replay(engine, &small, n)
             .iter()
             .map(|r| r.total.0)
             .max()
