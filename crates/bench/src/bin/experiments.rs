@@ -14,7 +14,9 @@
 //! timing summary — per-job wall times and the aggregate speedup — goes
 //! to stderr. `--bench-json PATH` additionally appends one JSON record of
 //! the run's pool timings to the array in `PATH` (creating it if absent),
-//! growing the perf-trajectory log `make bench` maintains.
+//! growing the perf-trajectory log `make bench` maintains. A failed
+//! `check` prints its violations to stderr, lets the remaining targets,
+//! the timing summary and the `--bench-json` record run, then exits 1.
 
 use tnpu_bench::cli::{Cli, Flag, Positional};
 use tnpu_bench::experiments::{self, model_list};
@@ -66,6 +68,7 @@ fn main() {
         None
     };
 
+    let mut check_failed = false;
     for target in targets {
         let rendered = match target {
             "table2" => tables::table2(),
@@ -85,7 +88,8 @@ fn main() {
                     for v in &violations {
                         eprintln!("  {v}");
                     }
-                    std::process::exit(1);
+                    check_failed = true;
+                    continue;
                 }
             }
             "fig17" => tables::fig17(&models),
@@ -111,4 +115,7 @@ fn main() {
     }
 
     args.finish(&[]);
+    if check_failed {
+        std::process::exit(1);
+    }
 }

@@ -1,10 +1,16 @@
-//! AES-128 block cipher.
+//! AES-128 block cipher with 32-bit table-driven rounds.
 //!
 //! The S-box is *derived* (multiplicative inverse in GF(2⁸) followed by the
-//! affine transform) rather than hard-coded, and the implementation is
-//! checked against the FIPS-197 Appendix C known-answer vector in the tests.
-//! Straightforward and untimed — suitable for a simulator's functional
-//! datapath, not for production.
+//! affine transform) rather than hard-coded, and the round tables are built
+//! from it at first use: each `te`/`td` entry fuses SubBytes (or its
+//! inverse) with the MixColumns (or InvMixColumns) column of one byte, so a
+//! round is 16 table lookups and XORs on four column words. Decryption is
+//! the FIPS-197 §5.3.5 equivalent inverse cipher. Known-answer tests cover
+//! FIPS-197 Appendices A.1, B and C.1.
+//!
+//! Not constant-time: the table lookups are key-dependent memory accesses.
+//! That suits a simulator's functional datapath — side channels are
+//! outside the threat model (§II-E) — but not production.
 
 use crate::Key128;
 
@@ -51,18 +57,14 @@ fn affine(x: u8) -> u8 {
 struct Tables {
     sbox: [u8; 256],
     inv_sbox: [u8; 256],
-    /// Multiplication tables for the MixColumns constants, indexed
-    /// `[constant][x]` with constants 2, 3, 9, 11, 13, 14.
-    mul: [[u8; 256]; 6],
+    /// Encryption round tables: `te[0][x]` is the MixColumns column of
+    /// `S(x)` as a big-endian word, `te[r]` is `te[0]` rotated right by `r`
+    /// bytes (the contribution of a byte in row `r`).
+    te: [[u32; 256]; 4],
+    /// Decryption round tables: the same layout for InvMixColumns of
+    /// `S⁻¹(x)`.
+    td: [[u32; 256]; 4],
 }
-
-/// Indices into [`Tables::mul`].
-const M2: usize = 0;
-const M3: usize = 1;
-const M9: usize = 2;
-const M11: usize = 3;
-const M13: usize = 4;
-const M14: usize = 5;
 
 fn tables() -> &'static Tables {
     use std::sync::OnceLock;
@@ -75,24 +77,65 @@ fn tables() -> &'static Tables {
             *slot = s;
             inv_sbox[s as usize] = i as u8;
         }
-        let mut mul = [[0u8; 256]; 6];
-        for (slot, c) in [(M2, 2), (M3, 3), (M9, 9), (M11, 11), (M13, 13), (M14, 14)] {
-            for (x, entry) in mul[slot].iter_mut().enumerate() {
-                *entry = gf_mul(c, x as u8);
+        let mut te = [[0u32; 256]; 4];
+        let mut td = [[0u32; 256]; 4];
+        for x in 0..256 {
+            let (s, i) = (sbox[x], inv_sbox[x]);
+            let e = u32::from_be_bytes([gf_mul(s, 2), s, s, gf_mul(s, 3)]);
+            let d = u32::from_be_bytes([gf_mul(i, 14), gf_mul(i, 9), gf_mul(i, 13), gf_mul(i, 11)]);
+            for r in 0..4 {
+                te[r][x] = e.rotate_right(8 * r as u32);
+                td[r][x] = d.rotate_right(8 * r as u32);
             }
         }
         Tables {
             sbox,
             inv_sbox,
-            mul,
+            te,
+            td,
         }
     })
 }
 
-/// An expanded AES-128 key schedule (11 round keys).
+/// Byte `row` (row 0 is the most significant byte) of the column word `w`.
+fn byte(w: u32, row: usize) -> usize {
+    (w >> (24 - 8 * row)) as u8 as usize
+}
+
+/// The cipher core shared by both directions. The state is four big-endian
+/// column words; each round's output column `c` gathers row `r` from input
+/// column `c + step·r`, which is ShiftRows for `step = 1` and InvShiftRows
+/// for `step = 3`.
+fn crypt(
+    block: &mut [u8; 16],
+    keys: &[[u32; 4]; 11],
+    round_tables: &[[u32; 256]; 4],
+    sbox: &[u8; 256],
+    step: usize,
+) {
+    let mut s: [u32; 4] = std::array::from_fn(|c| {
+        u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4-byte column")) ^ keys[0][c]
+    });
+    for rk in &keys[1..10] {
+        s = std::array::from_fn(|c| {
+            (0..4).fold(rk[c], |acc, r| {
+                acc ^ round_tables[r][byte(s[(c + step * r) % 4], r)]
+            })
+        });
+    }
+    for (c, out) in block.chunks_exact_mut(4).enumerate() {
+        let col: [u8; 4] = std::array::from_fn(|r| sbox[byte(s[(c + step * r) % 4], r)]);
+        out.copy_from_slice(&(u32::from_be_bytes(col) ^ keys[10][c]).to_be_bytes());
+    }
+}
+
+/// An expanded AES-128 key: the encryption schedule (11 round keys of four
+/// big-endian column words) and the decryption schedule of the FIPS-197
+/// §5.3.5 equivalent inverse cipher.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    enc_keys: [[u32; 4]; 11],
+    dec_keys: [[u32; 4]; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -103,152 +146,51 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expand `key` into the round-key schedule.
+    /// Expand `key` into the encryption and decryption round-key schedules.
     #[must_use]
     pub fn new(key: Key128) -> Self {
         let t = tables();
-        let mut w = [[0u8; 4]; 44];
-        for (i, chunk) in key.0.chunks_exact(4).enumerate() {
-            w[i].copy_from_slice(chunk);
+        let sub_word = |w: u32| u32::from_be_bytes(w.to_be_bytes().map(|b| t.sbox[b as usize]));
+        let mut w = [0u32; 44];
+        for (w, chunk) in w.iter_mut().zip(key.0.chunks_exact(4)) {
+            *w = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
         }
         let mut rcon = 1u8;
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = t.sbox[*b as usize];
-                }
-                temp[0] ^= rcon;
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
                 rcon = gf_mul(rcon, 2);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
+            w[i] = w[i - 4] ^ temp;
+        }
+        let enc_keys: [[u32; 4]; 11] =
+            std::array::from_fn(|r| std::array::from_fn(|c| w[4 * r + c]));
+        // Decryption uses the round keys in reverse, with InvMixColumns
+        // applied to rounds 1-9; td[r][S(x)] is the InvMixColumns
+        // contribution of byte x in row r.
+        let inv_mix = |w: u32| (0..4).fold(0, |acc, r| acc ^ t.td[r][t.sbox[byte(w, r)] as usize]);
+        let dec_keys = std::array::from_fn(|round| {
+            let rk = enc_keys[10 - round];
+            if round == 0 || round == 10 {
+                rk
+            } else {
+                rk.map(inv_mix)
             }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Aes128 { round_keys }
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
-            *s ^= k;
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        let t = tables();
-        for b in state.iter_mut() {
-            *b = t.sbox[*b as usize];
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let t = tables();
-        for b in state.iter_mut() {
-            *b = t.inv_sbox[*b as usize];
-        }
-    }
-
-    // State layout: column-major, state[r + 4c] = row r, column c,
-    // matching the FIPS byte order of a 16-byte input block.
-    fn shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        let t = tables();
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] =
-                t.mul[M2][col[0] as usize] ^ t.mul[M3][col[1] as usize] ^ col[2] ^ col[3];
-            state[4 * c + 1] =
-                col[0] ^ t.mul[M2][col[1] as usize] ^ t.mul[M3][col[2] as usize] ^ col[3];
-            state[4 * c + 2] =
-                col[0] ^ col[1] ^ t.mul[M2][col[2] as usize] ^ t.mul[M3][col[3] as usize];
-            state[4 * c + 3] =
-                t.mul[M3][col[0] as usize] ^ col[1] ^ col[2] ^ t.mul[M2][col[3] as usize];
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        let t = tables();
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = t.mul[M14][col[0] as usize]
-                ^ t.mul[M11][col[1] as usize]
-                ^ t.mul[M13][col[2] as usize]
-                ^ t.mul[M9][col[3] as usize];
-            state[4 * c + 1] = t.mul[M9][col[0] as usize]
-                ^ t.mul[M14][col[1] as usize]
-                ^ t.mul[M11][col[2] as usize]
-                ^ t.mul[M13][col[3] as usize];
-            state[4 * c + 2] = t.mul[M13][col[0] as usize]
-                ^ t.mul[M9][col[1] as usize]
-                ^ t.mul[M14][col[2] as usize]
-                ^ t.mul[M11][col[3] as usize];
-            state[4 * c + 3] = t.mul[M11][col[0] as usize]
-                ^ t.mul[M13][col[1] as usize]
-                ^ t.mul[M9][col[2] as usize]
-                ^ t.mul[M14][col[3] as usize];
-        }
+        });
+        Aes128 { enc_keys, dec_keys }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for r in 1..10 {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[r]);
-        }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[10]);
+        let t = tables();
+        crypt(block, &self.enc_keys, &t.te, &t.sbox, 1);
     }
 
     /// Decrypt one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[10]);
-        for r in (1..10).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[r]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        let t = tables();
+        crypt(block, &self.dec_keys, &t.td, &t.inv_sbox, 3);
     }
 
     /// Encrypt a copy of `block`.
@@ -281,24 +223,46 @@ mod tests {
         }
     }
 
+    fn hex16(s: &str) -> [u8; 16] {
+        std::array::from_fn(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex"))
+    }
+
     #[test]
     fn fips197_known_answer() {
-        // FIPS-197 Appendix C.1.
-        let key = Key128([
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ]);
-        let mut block = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
-        ];
-        let expected = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
-        ];
-        let aes = Aes128::new(key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, expected);
+        // FIPS-197 Appendices B and C.1, cipher and inverse cipher.
+        for (key, plain, cipher) in [
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "3243f6a8885a308d313198a2e0370734",
+                "3925841d02dc09fbdc118597196a0b32",
+            ),
+            (
+                "000102030405060708090a0b0c0d0e0f",
+                "00112233445566778899aabbccddeeff",
+                "69c4e0d86a7b0430d8cdb78070b4c55a",
+            ),
+        ] {
+            let aes = Aes128::new(Key128(hex16(key)));
+            let mut block = hex16(plain);
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, hex16(cipher), "encrypt under {key}");
+            let mut block = hex16(cipher);
+            aes.decrypt_block(&mut block);
+            assert_eq!(block, hex16(plain), "decrypt under {key}");
+        }
+    }
+
+    #[test]
+    fn fips197_key_expansion_last_round() {
+        // FIPS-197 Appendix A.1: w[40..44] of the Appendix B key.
+        let aes = Aes128::new(Key128(hex16("2b7e151628aed2a6abf7158809cf4f3c")));
+        assert_eq!(
+            aes.enc_keys[10],
+            [0xd014_f9a8, 0xc9ee_2589, 0xe13f_0cc8, 0xb663_0ca6]
+        );
+        // The equivalent inverse cipher starts from the same round key.
+        assert_eq!(aes.dec_keys[0], aes.enc_keys[10]);
+        assert_eq!(aes.dec_keys[10], aes.enc_keys[0]);
     }
 
     #[test]

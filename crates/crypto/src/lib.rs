@@ -7,8 +7,9 @@
 //! security claims (confidentiality, integrity, replay detection) are
 //! testable end-to-end:
 //!
-//! * [`aes`] — AES-128 block cipher (S-box derived from the GF(2⁸) inverse,
-//!   verified against the FIPS-197 vector).
+//! * [`aes`] — AES-128 block cipher with table-driven rounds built from an
+//!   S-box derived from the GF(2⁸) inverse, verified against the FIPS-197
+//!   vectors.
 //! * [`ctr`] — counter-mode one-time-pad encryption of 64 B memory blocks,
 //!   the baseline engine's cipher (§II-B, Fig. 1).
 //! * [`xts`] — AES-XTS encryption of 64 B blocks, the tree-less engine's
@@ -19,8 +20,9 @@
 //! * [`mac`] — the 8-byte per-block MAC binding (content, address, version),
 //!   exactly the construction of Fig. 12.
 //!
-//! None of this is constant-time or side-channel hardened — side channels
-//! are out of the paper's threat model (§II-E) and out of scope here too.
+//! None of this is constant-time or side-channel hardened — the AES round
+//! tables are indexed by key-dependent bytes — and side channels are out of
+//! the paper's threat model (§II-E) and out of scope here too.
 //! Do **not** reuse these primitives in production systems.
 
 pub mod aes;

@@ -126,14 +126,18 @@ impl Sha256 {
     /// Produce the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len * 8;
-        self.update(&[0x80]);
-        // Careful: update() bumps total_len, but bit_len is already captured.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // Pad in place: 0x80, zeros, then the 64-bit message bit length in
+        // the last 8 bytes — in a second block when fewer than 9 bytes of
+        // this one are free.
+        let n = self.buffer_len;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            Self::compress(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[56..].copy_from_slice(&(self.total_len * 8).to_be_bytes());
+        Self::compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -182,6 +186,38 @@ mod tests {
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn padding_boundary_vectors() {
+        for (n, digest) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; n])), digest, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn one_million_a_vector() {
+        assert_eq!(
+            hex(&sha256(&vec![b'a'; 1_000_000])),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
 

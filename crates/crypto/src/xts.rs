@@ -12,18 +12,10 @@
 use crate::aes::Aes128;
 use crate::Key128;
 
-/// Multiply an element of GF(2¹²⁸) by α (the XTS tweak update), little-endian
-/// byte order per IEEE 1619.
-fn gf128_mul_alpha(tweak: &mut [u8; 16]) {
-    let mut carry = 0u8;
-    for byte in tweak.iter_mut() {
-        let new_carry = *byte >> 7;
-        *byte = (*byte << 1) | carry;
-        carry = new_carry;
-    }
-    if carry != 0 {
-        tweak[0] ^= 0x87;
-    }
+/// Multiply an element of GF(2¹²⁸) by α (the XTS tweak update). The tweak
+/// is the 16-byte block read as a little-endian integer, per IEEE 1619.
+fn gf128_mul_alpha(tweak: u128) -> u128 {
+    (tweak << 1) ^ if tweak >> 127 != 0 { 0x87 } else { 0 }
 }
 
 /// AES-XTS encryptor for 64-byte blocks.
@@ -53,46 +45,29 @@ impl XtsMode {
         XtsMode::new(Key128::derive(&data_label), Key128::derive(&tweak_label))
     }
 
-    fn initial_tweak(&self, unit: u64) -> [u8; 16] {
-        let mut t = [0u8; 16];
-        t[..8].copy_from_slice(&unit.to_le_bytes());
-        self.tweak_cipher.encrypt_block(&mut t);
-        t
+    /// Run one direction of the cipher over the four 16 B chunks of a
+    /// 64-byte block, whitening each with its tweak before and after.
+    fn apply(&self, unit: u64, block: &mut [u8; 64], cipher: fn(&Aes128, &mut [u8; 16])) {
+        let mut tweak =
+            u128::from_le_bytes(self.tweak_cipher.encrypt(u128::from(unit).to_le_bytes()));
+        for chunk in block.chunks_exact_mut(16) {
+            let input = u128::from_le_bytes(chunk.try_into().expect("16-byte chunk"));
+            let mut b = (input ^ tweak).to_le_bytes();
+            cipher(&self.data_cipher, &mut b);
+            chunk.copy_from_slice(&(u128::from_le_bytes(b) ^ tweak).to_le_bytes());
+            tweak = gf128_mul_alpha(tweak);
+        }
     }
 
     /// Encrypt a 64-byte block in place; `unit` is the data-unit number
     /// (the 64 B block address divided by 64).
     pub fn encrypt_block(&self, unit: u64, block: &mut [u8; 64]) {
-        let mut tweak = self.initial_tweak(unit);
-        for chunk in block.chunks_exact_mut(16) {
-            let mut b: [u8; 16] = chunk.try_into().expect("16-byte chunk");
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            self.data_cipher.encrypt_block(&mut b);
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            chunk.copy_from_slice(&b);
-            gf128_mul_alpha(&mut tweak);
-        }
+        self.apply(unit, block, Aes128::encrypt_block);
     }
 
     /// Decrypt a 64-byte block in place.
     pub fn decrypt_block(&self, unit: u64, block: &mut [u8; 64]) {
-        let mut tweak = self.initial_tweak(unit);
-        for chunk in block.chunks_exact_mut(16) {
-            let mut b: [u8; 16] = chunk.try_into().expect("16-byte chunk");
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            self.data_cipher.decrypt_block(&mut b);
-            for (x, t) in b.iter_mut().zip(tweak.iter()) {
-                *x ^= t;
-            }
-            chunk.copy_from_slice(&b);
-            gf128_mul_alpha(&mut tweak);
-        }
+        self.apply(unit, block, Aes128::decrypt_block);
     }
 
     /// Encrypt a copy of `block`.
@@ -156,19 +131,66 @@ mod tests {
     #[test]
     fn gf128_doubling_carry() {
         // Highest bit set -> reduction by 0x87 in byte 0.
-        let mut t = [0u8; 16];
-        t[15] = 0x80;
-        gf128_mul_alpha(&mut t);
+        let t = gf128_mul_alpha(1 << 127).to_le_bytes();
         assert_eq!(t[0], 0x87);
         assert_eq!(t[15], 0x00);
     }
 
     #[test]
     fn gf128_doubling_shifts() {
-        let mut t = [0u8; 16];
-        t[0] = 0x01;
-        gf128_mul_alpha(&mut t);
-        assert_eq!(t[0], 0x02);
+        assert_eq!(gf128_mul_alpha(1).to_le_bytes()[0], 0x02);
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    fn key(s: &str) -> Key128 {
+        Key128(hex(s).try_into().expect("16-byte key"))
+    }
+
+    #[test]
+    fn ieee1619_known_answers() {
+        // IEEE 1619-2007 Annex B, XTS-AES-128: vectors 1 and 2 (32 B data
+        // units, so only the first 32 B are pinned) and the first 64 B of
+        // vector 4.
+        let cases: [(Key128, Key128, u64, [u8; 64], &str); 3] = [
+            (
+                Key128([0; 16]),
+                Key128([0; 16]),
+                0,
+                [0; 64],
+                "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e",
+            ),
+            (
+                Key128([0x11; 16]),
+                Key128([0x22; 16]),
+                0x33_3333_3333,
+                [0x44; 64],
+                "c454185e6a16936e39334038acef838bfb186fff7480adc4289382ecd6d394f0",
+            ),
+            (
+                key("27182818284590452353602874713526"),
+                key("31415926535897932384626433832795"),
+                0,
+                std::array::from_fn(|i| i as u8),
+                concat!(
+                    "27a7479befa1d476489f308cd4cfa6e2a96e4bbe3208ff25287dd3819616e89c",
+                    "c78cf7f5e543445f8333d8fa7f56000005279fa5d8b5e4ad40e736ddb4d35412"
+                ),
+            ),
+        ];
+        for (data_key, tweak_key, unit, plain, expected) in cases {
+            let e = XtsMode::new(data_key, tweak_key);
+            let expected = hex(expected);
+            let mut block = e.encrypt(unit, &plain);
+            assert_eq!(block[..expected.len()], expected, "unit {unit:#x}");
+            e.decrypt_block(unit, &mut block);
+            assert_eq!(block, plain, "unit {unit:#x}");
+        }
     }
 
     #[test]
